@@ -7,8 +7,9 @@ run directory named by the hash of the effective config, so rerunning the
 same invocation reproduces the same files byte for byte (timestamps appear
 only in log lines).
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage error (including a flag or config value the
+library rejects), 2 data/format error, 3 numerical failure. Each failure
+prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -329,15 +331,30 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Magic, width, height and maxval separated by whitespace or comments, then
+# exactly one whitespace byte before the samples (which may themselves be
+# whitespace-valued bytes).
+_P5_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*)+(\d+)" * 3 + rb"\s")
+
+
 def _load_sim_image(path: Path) -> np.ndarray:
     if path.suffix == ".npy":
         return np.load(path)
     raw = path.read_bytes()
-    if raw[:2] == b"P5":
-        parts = raw.split(maxsplit=4)
-        w, h = int(parts[1]), int(parts[2])
-        return np.frombuffer(parts[4][: w * h], dtype=np.uint8).reshape(h, w)
-    raise DataFormatError(f"{path}: expected .npy or binary P5 graymap")
+    header = _P5_HEADER.match(raw)
+    if header is None:
+        raise DataFormatError(f"{path}: expected .npy or binary P5 graymap")
+    w, h, maxval = (int(t) for t in header.groups())
+    if w < 1 or h < 1 or not 0 < maxval < 65536:
+        raise DataFormatError(f"{path}: bad P5 header {w}x{h}, maxval {maxval}")
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    body = raw[header.end() : header.end() + w * h * dtype.itemsize]
+    if len(body) != w * h * dtype.itemsize:
+        raise DataFormatError(f"{path}: truncated P5 body")
+    img = np.frombuffer(body, dtype=dtype).reshape(h, w)
+    if img.max() > maxval:
+        raise DataFormatError(f"{path}: sample above maxval {maxval}")
+    return img
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
@@ -489,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # a flag or config value the library rejects
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -547,6 +547,8 @@ def import_stack(path_prefix: str | Path) -> BitPlaneStack:
         w, h = (int(t) for t in blob[pos + 3 : end].split())
         row_bytes = (w + 7) // 8
         body = blob[end + 1 : end + 1 + h * row_bytes]
+        if len(body) != h * row_bytes:
+            raise DataFormatError(f"truncated P4 body at offset {end + 1}")
         bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8).reshape(h, row_bytes), axis=1)
         planes.append(bits[:, :w])
         pos = end + 1 + h * row_bytes

@@ -10,8 +10,10 @@ noisy optical path, absorbing gains and distortions the simulation does not
 model.
 
 Gradients are hand-derived for this fixed architecture; there is no autograd.
-The convolution layer's backward uses the unitarity of the centered transform
-(adjoint of the inverse transform is the forward one).
+The convolution layer's backward cross-correlates the output-window gradient
+with the input on the forward's small grid, which gives the gradient at each
+impulse-response lag, and maps it to the Fourier-plane kernel bins through the
+adjoint of the impulse-response transform.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 import scipy.fft
 
-from .datapipe import TileLayout, tile, untile
+from .datapipe import DataFormatError, TileLayout, tile, untile
 from .optics import (
     FieldPlane,
     NoiseSpec,
@@ -48,7 +50,9 @@ __all__ = [
     "train_stage1",
     "capture_features",
     "finetune_stage2",
+    "predict",
     "evaluate",
+    "features_tiled",
     "evaluate_tiled",
     "save_checkpoint",
     "load_checkpoint",
@@ -87,6 +91,8 @@ class ModelParams:
         h, w = self.image_hw
         if h % 2 or w % 2:
             raise ValueError("native image window must have even sides for 2x2 pooling")
+        if h > self.grid or w > self.grid:
+            raise ValueError(f"native image window {(h, w)} exceeds the {self.grid}-px grid")
         k = self.fourier_kernels.shape[0]
         if self.fc1_w.shape[0] != k * (h // 2) * (w // 2):
             raise ValueError(
@@ -213,92 +219,45 @@ def _apply_mask_to_masters(params: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 # transform engine
 #
-# The digital path is mathematically the centered unitary transform pair of
-# the optics module, but computed in plain (unshifted) FFT coordinates: the
-# fftshift sandwiches are folded into wrapped block embeddings/extractions,
-# which on a 2-core box saves several full passes over the largest arrays
-# per step. The kernel bank is re-indexed into the same coordinates once per
-# use. Cross-checked against the optics-module path by the equivalence tests.
+# The input is an h x w window on the G x G grid and only that window is read
+# back, so the centered 4f path reduces to a convolution of the window with
+# the kernel's impulse response p_k = ifft2(ifftshift(B_k)) at the lags
+# [-(h-1), h-1] x [-(w-1), w-1] (the centering shifts cancel between the input
+# embedding and the output crop). Those lags fit without aliasing on a small
+# grid of n >= 2h-1 per axis, so the batch is transformed at n = min(
+# next_fast_len(2h-1), G) instead of G. The kernel's spectrum on the small
+# grid is resampled from B_k one axis at a time; an axis already at G keeps
+# B_k's exact bins. Cross-checked against the optics-module path and the
+# direct-convolution oracle by the equivalence tests.
 
 
-def _wrap_pairs(start: int, length: int, grid: int) -> list[tuple[slice, slice]]:
-    """(grid slice, window slice) pairs of the block [start, start+length)
-    taken modulo the grid size."""
-    start %= grid
-    if start + length <= grid:
-        return [(slice(start, start + length), slice(0, length))]
-    head = grid - start
-    return [(slice(start, grid), slice(0, head)), (slice(0, length - head), slice(head, length))]
-
-
-def _centered_window_coords(grid: int, h: int, w: int):
-    # Centered window [r0, r0+h) x [c0, c0+w) seen in unshifted coordinates.
-    r0, c0 = (grid - h) // 2, (grid - w) // 2
-    return (
-        _wrap_pairs(r0 - grid // 2, h, grid),
-        _wrap_pairs(c0 - grid // 2, w, grid),
-    )
-
-
-def _spectrum_of_embedded(
-    bits: np.ndarray, grid: int, cdtype, workers: int = 1
+def _resample_spectrum(
+    spec: np.ndarray, window: tuple[int, int], sizes: tuple[int, int], workers: int = 1
 ) -> np.ndarray:
-    """Unshifted spectrum of center-embedded images.
+    """Spectrum on a grid of ``sizes`` of the window lags [-(h-1), h-1] of
+    ``spec`` (unshifted spectra on the last two axes), zero at other lags.
 
-    Only the occupied rows go through the column-stage transform; the result
-    equals transforming the fully padded frame.
+    Only axes whose length changes are transformed; both lengths of such an
+    axis are at least 2h-1, so the lags do not overlap on either.
     """
-    b, h, w = bits.shape
-    rows, cols = _centered_window_coords(grid, h, w)
-    z = np.zeros((b, h, grid), dtype=cdtype)
-    for cg, cw in cols:
-        z[:, :, cg] = bits[:, :, cw]
-    t1 = scipy.fft.fft(z, axis=-1, norm="ortho", workers=workers)
-    z2 = np.zeros((b, grid, grid), dtype=cdtype)
-    for rg, rw in rows:
-        z2[:, rg, :] = t1[:, rw, :]
-    return scipy.fft.fft(z2, axis=-2, norm="ortho", workers=workers)
-
-
-def _inverse_to_window(
-    filtered: np.ndarray, grid: int, window: tuple[int, int], workers: int = 1
-) -> np.ndarray:
-    """Centered window of the centered inverse transform of ``filtered``
-    (given in unshifted coordinates); only window columns are transformed in
-    the second stage."""
-    h, w = window
-    rows, cols = _centered_window_coords(grid, h, w)
-    t1 = scipy.fft.ifft(filtered, axis=-1, norm="ortho", workers=workers)
-    panel = np.empty((*filtered.shape[:-1], w), dtype=filtered.dtype)
-    for cg, cw in cols:
-        panel[..., cw] = t1[..., cg]
-    t2 = scipy.fft.ifft(panel, axis=-2, norm="ortho", workers=workers)
-    out = np.empty((*filtered.shape[:-2], h, w), dtype=filtered.dtype)
-    for rg, rw in rows:
-        out[..., rw, :] = t2[..., rg, :]
-    return out
-
-
-def _window_to_spectrum(
-    grad_window: np.ndarray, grid: int, workers: int = 1
-) -> np.ndarray:
-    """Adjoint of ``_inverse_to_window``: scatter, forward-transform (the
-    adjoint of a unitary inverse), scatter, forward-transform."""
-    *lead, h, w = grad_window.shape
-    rows, cols = _centered_window_coords(grid, h, w)
-    z = np.zeros((*lead, grid, w), dtype=grad_window.dtype)
-    for rg, rw in rows:
-        z[..., rg, :] = grad_window[..., rw, :]
-    t1 = scipy.fft.fft(z, axis=-2, norm="ortho", workers=workers)
-    z2 = np.zeros((*lead, grid, grid), dtype=grad_window.dtype)
-    for cg, cw in cols:
-        z2[..., cg] = t1[..., cw]
-    return scipy.fft.fft(z2, axis=-1, norm="ortho", workers=workers)
-
-
-def _unshift_bank(bank: np.ndarray) -> np.ndarray:
-    """Kernel bank from centered to unshifted spectral coordinates."""
-    return scipy.fft.ifftshift(bank, axes=(-2, -1))
+    for axis, h, size in zip((-2, -1), window, sizes):
+        n = spec.shape[axis]
+        if n == size:
+            continue
+        if np.isrealobj(spec):
+            # Real input (the bank's first axis): half the transform suffices,
+            # as lag d is conj(rfft[d]) / n and lag -d is its conjugate.
+            half = scipy.fft.rfft(spec, axis=axis, norm="forward", workers=workers)
+            half = np.moveaxis(half, axis, -1)
+            pos, neg = half[..., :h].conj(), half[..., h - 1 : 0 : -1]
+        else:
+            lags = np.moveaxis(scipy.fft.ifft(spec, axis=axis, workers=workers), axis, -1)
+            pos, neg = lags[..., :h], lags[..., n - h + 1 :]
+        moved = np.zeros((*pos.shape[:-1], size), dtype=pos.dtype)
+        moved[..., :h] = pos
+        moved[..., size - h + 1 :] = neg
+        spec = np.moveaxis(scipy.fft.fft(moved, workers=workers), -1, axis)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -314,49 +273,32 @@ def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / peak[:, None, None, None], peak
 
 
-class _ConvCache:
-    """Intermediates of the digital conv forward needed by the backward pass."""
-
-    def __init__(self, spectrum, window_fields, raw, peak):
-        self.spectrum = spectrum  # unshifted coordinates
-        self.window_fields = window_fields
-        self.raw = raw
-        self.peak = peak
-
-
 def _conv_digital(
     bits: np.ndarray,
     params: ModelParams,
     dtype: str = "float64",
     workers: int = 1,
-    kernel_chunk: int = 8,
-    want_cache: bool = False,
     bank_override: np.ndarray | None = None,
-) -> tuple[np.ndarray, _ConvCache | None]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex output window (B, K, h, w) of every kernel, and the batch
+    spectrum on the small grid that the backward pass correlates against."""
     # bank_override substitutes the binarized bank (centered coordinates);
     # the finite-difference harness perturbs the STE surrogate through it.
-    cdtype = np.complex64 if dtype == "float32" else np.complex128
     rdtype = np.float32 if dtype == "float32" else np.float64
-    g = params.grid
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
     if bits.ndim == 2:
         bits = bits[None]
     if bits.shape[1:] != (h, w):
         raise ValueError(f"batch {bits.shape} does not match native window {(h, w)}")
-    spectrum = _spectrum_of_embedded(bits, g, cdtype, workers)
-    bank_c = binarized_kernels(params, rdtype) if bank_override is None else bank_override
-    bank = _unshift_bank(np.asarray(bank_c, dtype=rdtype))
-    b, k = bits.shape[0], params.n_kernels
-    fields = np.empty((b, k, h, w), dtype=cdtype)
-    for k0 in range(0, k, kernel_chunk):
-        k1 = min(k0 + kernel_chunk, k)
-        filtered = spectrum[:, None] * bank[None, k0:k1]
-        fields[:, k0:k1] = _inverse_to_window(filtered, g, (h, w), workers)
-    raw = fields.real**2 + fields.imag**2
-    feats, peak = _normalize_features(raw)
-    cache = _ConvCache(spectrum, fields, raw, peak) if want_cache else None
-    return feats, cache
+    sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), params.grid) for s in (h, w))
+    bank = binarized_kernels(params, rdtype) if bank_override is None else bank_override
+    bank = scipy.fft.ifftshift(np.asarray(bank, dtype=rdtype), axes=(-2, -1))
+    kernel_spec = _resample_spectrum(bank, (h, w), sizes, workers)
+    spectrum = scipy.fft.fft2(bits, s=sizes, workers=workers)
+    filtered = spectrum[:, None] * kernel_spec[None]
+    fields = scipy.fft.ifft2(filtered, overwrite_x=True, workers=workers)[..., :h, :w]
+    return fields, spectrum
 
 
 def _conv_optical(
@@ -371,6 +313,11 @@ def _conv_optical(
     """Route through the physical-path model: diffraction-order kernel groups
     behind an ideal aperture, then camera capture. Noise-free output matches
     the digital path to floating-point precision."""
+    if noise is not None and noise.bin_factor > 1:
+        raise ValueError(
+            f"optical conv features need camera bin_factor 1, got {noise.bin_factor}: "
+            "binning would shrink the feature window the head reads"
+        )
     g = params.grid
     h, w = params.image_hw
     bits = np.asarray(bits)
@@ -414,7 +361,8 @@ def conv_fourier_forward(
     Outputs are gain-normalized per frame.
     """
     if mode == "digital":
-        feats, _ = _conv_digital(bits, params, dtype=dtype, workers=workers)
+        fields, _ = _conv_digital(bits, params, dtype=dtype, workers=workers)
+        feats, _ = _normalize_features(fields.real**2 + fields.imag**2)
         return feats
     if mode == "optical":
         if config is None:
@@ -482,9 +430,11 @@ def _loss_and_grads(
     workers: int,
     bank_override: np.ndarray | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    feats, cache = _conv_digital(
-        bits, params, dtype=dtype, workers=workers, want_cache=True, bank_override=bank_override
+    fields, spectrum = _conv_digital(
+        bits, params, dtype=dtype, workers=workers, bank_override=bank_override
     )
+    raw = fields.real**2 + fields.imag**2
+    feats, peak = _normalize_features(raw)
     b, k, h, w = feats.shape
     pooled, pool_idx = _maxpool2(feats)
     flat = pooled.reshape(b, -1)
@@ -507,25 +457,21 @@ def _loss_and_grads(
 
     # Through the unit-max gain: y = raw / m with m the per-frame peak; the
     # peak pixel collects the -sum(dL/dy * y)/m term.
-    peak = cache.peak
     draw = dfeats / peak[:, None, None, None]
     dpeak = -(dfeats * feats).reshape(b, -1).sum(axis=1) / peak
-    flat_raw = cache.raw.reshape(b, -1)
-    argmax = flat_raw.argmax(axis=1)
+    argmax = raw.reshape(b, -1).argmax(axis=1)
     draw_flat = draw.reshape(b, -1)
     draw_flat[np.arange(b), argmax] += dpeak
-    draw = draw_flat.reshape(b, k, h, w).astype(cache.raw.dtype, copy=False)
+    draw = draw_flat.reshape(b, k, h, w).astype(raw.dtype, copy=False)
 
-    # |U|^2 and the unitary inverse: grad_F = FT(2 * U * dI) on the window.
-    # Chunked over kernels to bound the full-grid intermediate.
-    conj_spec = np.conj(cache.spectrum)
-    dbank = np.empty((k, params.grid, params.grid), dtype=np.float64)
-    chunk = 8
-    for k0 in range(0, k, chunk):
-        k1 = min(k0 + chunk, k)
-        grad_fields = (2.0 * cache.window_fields[:, k0:k1]) * draw[:, k0:k1]
-        grad_spec = _window_to_spectrum(grad_fields, params.grid, workers)
-        dbank[k0:k1] = np.einsum("bkij,bij->kij", grad_spec, conj_spec).real
+    # |U|^2 gives dL/dU = 2 U dI on the window. Its cross-correlation with
+    # the input, summed over the batch in frequency space, is the gradient at
+    # each impulse-response lag; scattered to the G-grid lags, the adjoint of
+    # p = ifft2(B) gives dB = Re fft2(.) / G^2.
+    grad_spec = scipy.fft.fft2(2.0 * fields * draw, s=spectrum.shape[-2:], workers=workers)
+    corr = np.einsum("bij,bkij->kij", spectrum.conj(), grad_spec)
+    g = params.grid
+    dbank = _resample_spectrum(corr, (h, w), (g, g), workers).real.astype(np.float64) / g**2
     dbank = scipy.fft.fftshift(dbank, axes=(-2, -1))  # back to centered coords
     dmasters = binarize_ste_grad(params.fourier_kernels, dbank)
     if params.highpass_mask_enabled:
@@ -825,16 +771,19 @@ def save_checkpoint(params: ModelParams, path: str | Path, stage: int, seed: int
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     path = Path(path)
     with open(path, "rb") as f:
-        header = json.loads(f.readline())
-        if header.get("format") != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
+        try:
+            header = json.loads(f.readline())
+        except ValueError:  # undecodable bytes or not JSON
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
+            raise DataFormatError(f"{path} is not a model checkpoint")
         arrays = {}
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * count)
             if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated tensor {spec['name']}")
+                raise DataFormatError(f"{path}: truncated tensor {spec['name']}")
             arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     params = ModelParams(
         fourier_kernels=arrays["fourier_kernels"],

@@ -31,6 +31,8 @@ __all__ = [
     "dram_power_w",
     "generation_preset",
     "latency",
+    "LatencyReport",
+    "custom_scenario",
     "sweep_report",
     "write_report_csv",
     "write_report_json",

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opticonv import cli
+from opticonv import cli, network
+from opticonv.datapipe import DataFormatError
 from opticonv.fieldio import read_raw
 
 DATA_DIR = Path(os.environ.get("OPTICONV_DATA_DIR", "/root/data"))
@@ -60,6 +61,41 @@ class TestConfig:
 
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == cli.EXIT_USAGE
+
+
+def assert_one_line_usage_error(code, capsys, needle):
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0]
+
+
+class TestFailureContract:
+    """Values the library rejects end in exit 1 and one stderr line."""
+
+    def test_bad_custom_perf_scenario(self, tmp_path, capsys):
+        code = run(["--out-dir", tmp_path, "perf", "--custom", 28, 28, 0, 1, 10])
+        assert_one_line_usage_error(code, capsys, "input_parallelism")
+
+    def test_too_many_simulated_kernels(self, small_config, tmp_path, capsys):
+        img_path = tmp_path / "digit.npy"
+        np.save(img_path, np.ones((28, 28), np.uint8))
+        code = run(["--config", small_config, "--out-dir", tmp_path / "runs",
+                    "simulate", img_path, "--kernels", 8])
+        assert_one_line_usage_error(code, capsys, "at most 7 kernels")
+
+    @pytest.mark.parametrize("command", [["finetune"], ["eval", "--mode", "optical"]])
+    def test_binned_optical_capture(self, small_config, tmp_path, capsys, command):
+        cfg = json.loads(small_config.read_text())
+        cfg["noise"]["bin_factor"] = 2
+        binned = tmp_path / "binned.json"
+        binned.write_text(json.dumps(cfg))
+        t = cfg["train"]
+        params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"],
+                                     hidden=t["hidden"])
+        ckpt = network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+        code = run(["--config", binned, "--out-dir", tmp_path / "runs",
+                    command[0], ckpt, "--dataset", "mnist", *command[1:]])
+        assert_one_line_usage_error(code, capsys, "bin_factor")
 
 
 class TestPerfCommand:
@@ -156,6 +192,21 @@ class TestTrainEvalPipeline:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("header, body, want", [
+        # first sample is a whitespace byte (32) right after the header
+        (b"P5\n2 2\n255\n", bytes([32, 0, 10, 255]), [[32, 0], [10, 255]]),
+        # comment in the header; maxval above 255 means 16-bit big-endian samples
+        (b"P5\n# pattern\n2 1\n1000\n", (500).to_bytes(2, "big") + (1000).to_bytes(2, "big"),
+         [[500, 1000]]),
+    ], ids=["whitespace-sample", "16-bit-maxval"])
+    def test_p5_header_tokens_and_maxval(self, tmp_path, header, body, want):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + body)
+        assert cli._load_sim_image(path).tolist() == want
+        path.write_bytes(header + body[:-1])
+        with pytest.raises(DataFormatError, match="truncated"):
+            cli._load_sim_image(path)
+
     def test_all_pass_identity(self, small_config, tmp_path):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, (28, 28)).astype(np.uint8)

@@ -348,3 +348,10 @@ class TestStackExport:
         assert back.thresholds == stack.thresholds
         assert back.channel_of_plane == stack.channel_of_plane
         assert back.source_shape == stack.source_shape
+
+    def test_truncated_p4_body_rejected(self, tmp_path):
+        stack = quantize_gray(np.arange(48, dtype=np.uint8).reshape(6, 8) * 5, 2)
+        p4_path, _ = export_stack(stack, tmp_path / "sample")
+        p4_path.write_bytes(p4_path.read_bytes()[:-2])
+        with pytest.raises(DataFormatError, match="truncated"):
+            import_stack(tmp_path / "sample")

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opticonv import network
-from opticonv.datapipe import TileLayout
+from opticonv.datapipe import DataFormatError, TileLayout
 from opticonv.network import (
     ModelParams,
     TrainConfig,
@@ -24,6 +28,8 @@ from opticonv.network import (
     write_trace_csv,
 )
 from opticonv.optics import NoiseSpec, OpticalConfig
+
+from oracles import conv_4f_oracle
 
 
 def toy_params(seed=0, grid=16, hw=(8, 8), k=2, classes=3, hidden=8, mask=False):
@@ -117,6 +123,85 @@ class TestConvForward:
         a = conv_fourier_forward(bits, params, dtype="float32")
         b = conv_fourier_forward(bits, params, dtype="float64")
         assert np.max(np.abs(a.astype(np.float64) - b)) < 1e-5
+
+
+@st.composite
+def conv_shapes(draw, max_grid=48):
+    """Grid G, even window sides h, w <= G, kernel count, mask flag, seed."""
+    g = draw(st.integers(4, max_grid))
+    h = 2 * draw(st.integers(1, g // 2))
+    w = 2 * draw(st.integers(1, g // 2))
+    return g, h, w, draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+class TestWindowedEngine:
+    """The small-grid engine against the direct-convolution oracle and
+    finite differences, over grids where 2h-1 exceeds G, h equals G and G is
+    odd."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(conv_shapes())
+    @example((8, 8, 8, 2, True, 0))  # h = G: the small grid is the full grid
+    @example((9, 6, 4, 3, False, 1))  # odd G, 2h-1 > G on one axis only
+    @example((33, 12, 16, 1, True, 2))  # odd G, both axes on a small grid
+    def test_forward_matches_direct_convolution_oracle(self, shape):
+        g, h, w, k, mask, seed = shape
+        params = toy_params(seed=seed, grid=g, hw=(h, w), k=k, mask=mask)
+        bits = np.random.default_rng(seed).integers(0, 2, (2, h, w)).astype(np.uint8)
+        # intensities before the per-frame gain, which would blow rounding
+        # noise up to unit scale on frames whose true output is zero
+        fields, _ = network._conv_digital(bits, params, dtype="float64")
+        r0, c0 = (g - h) // 2, (g - w) // 2
+        for img, got in zip(bits, np.abs(fields) ** 2):
+            frame = np.zeros((g, g))
+            frame[r0 : r0 + h, c0 : c0 + w] = img
+            for kern, got_k in zip(binarized_kernels(params), got):
+                want = conv_4f_oracle(frame, kern)[r0 : r0 + h, c0 : c0 + w]
+                assert np.max(np.abs(got_k - want)) < 1e-9
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(conv_shapes(max_grid=10))
+    @example((8, 8, 8, 2, True, 3))
+    @example((9, 6, 4, 2, True, 4))
+    def test_kernel_gradient_matches_finite_difference(self, shape):
+        # criterion 8's step and bar, on sampled coordinates of drawn shapes
+        g, h, w, k, mask, seed = shape
+        params = toy_params(seed=seed, grid=g, hw=(h, w), k=k, mask=mask)
+        bits, labels = toy_batch(seed, n=4, hw=(h, w))
+        _, _, grads = network._loss_and_grads(params, bits, labels, "float64", 1)
+        bank0 = binarized_kernels(params)
+        passes = np.abs(params.fourier_kernels) <= network.STE_CLIP
+        if mask:
+            passes &= network._highpass_mask(g) > 0
+        assert not grads["fourier_kernels"][~passes].any()
+        step = 1e-6
+        coords = np.flatnonzero(passes)
+        coords = np.random.default_rng(seed).choice(coords, min(24, len(coords)), replace=False)
+        for flat in coords:
+            idx = np.unravel_index(flat, bank0.shape)
+            bank = bank0.copy()
+            bank[idx] += step
+            lp, _, _ = network._loss_and_grads(params, bits, labels, "float64", 1, bank)
+            bank[idx] -= 2 * step
+            lm, _, _ = network._loss_and_grads(params, bits, labels, "float64", 1, bank)
+            fd = (lp - lm) / (2 * step)
+            assert abs(grads["fourier_kernels"][idx] - fd) / max(abs(fd), 1e-6) < 1e-4
+
+    def test_forward_memory_stays_windowed(self):
+        # full-grid (B, K, G, G) intermediates would need gigabytes here
+        params = init_params(seed=0, n_kernels=16, grid=256, image_hw=(28, 28))
+        bits = np.random.default_rng(0).integers(0, 2, (256, 28, 28)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            conv_fourier_forward(bits, params, dtype="float32")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400e6
+
+    def test_window_larger_than_grid_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            toy_params(grid=8, hw=(10, 8))
 
 
 class TestHead:
@@ -328,6 +413,13 @@ class TestCheckpoint:
         f = tmp_path / "x.ckpt"
         f.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("head", [bytes(range(128, 256)) + b"\n", b"[1]\n"])
+    def test_rejects_non_json_header(self, tmp_path, head):
+        f = tmp_path / "x.ckpt"
+        f.write_bytes(head)
+        with pytest.raises(DataFormatError, match="not a model checkpoint"):
             load_checkpoint(f)
 
     def test_trace_csv(self, tmp_path):
