@@ -47,13 +47,6 @@ class QuantizeConfig:
 
 
 @dataclass(frozen=True)
-class LayoutConfig:
-    gap_px: int = 30
-    padding: int = 1
-    grid: list | None = None  # [rows, cols] or null for the largest fit
-
-
-@dataclass(frozen=True)
 class TrainSection:
     lr_stage1: float = 0.01
     lr_stage2: float = 0.005
@@ -102,7 +95,6 @@ class RunConfig:
     seed: int = 0
     optical: OpticalConfig = OpticalConfig()
     quantize: QuantizeConfig = QuantizeConfig()
-    layout: LayoutConfig = LayoutConfig()
     train: TrainSection = TrainSection()
     noise: NoiseSection = NoiseSection()
     perf: PerfSection = PerfSection()
@@ -112,7 +104,6 @@ class RunConfig:
 _SECTION_TYPES = {
     "optical": OpticalConfig,
     "quantize": QuantizeConfig,
-    "layout": LayoutConfig,
     "train": TrainSection,
     "noise": NoiseSection,
     "perf": PerfSection,
@@ -314,9 +305,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     labels = ds.test_labels
     if args.limit:
         bits, labels = bits[: args.limit], labels[: args.limit]
-    noise = cfg.noise.to_spec() if args.mode == "optical" and cfg.noise.sigma > 0 else None
     result = network.evaluate(
-        params, (bits, labels), mode=args.mode, config=cfg.optical, noise=noise,
+        params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise.to_spec(),
         workers=args.threads,
     )
     metrics = {
@@ -358,6 +348,11 @@ def _load_sim_image(path: Path) -> np.ndarray:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
+    if args.windows and cfg.noise.bin_factor > 1:
+        raise ValueError(
+            f"simulate --windows needs noise.bin_factor 1, got {cfg.noise.bin_factor}: "
+            "windows are cut in unbinned frame coordinates"
+        )
     run_dir = _run_dir(args.out_dir, cfg, "simulate")
     img = _load_sim_image(Path(args.image))
     g = cfg.train.grid
@@ -377,7 +372,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     kernels = list(bank)
     aperture = ideal_aperture(range(len(kernels)), (g, g), cfg.optical)
     outputs = multi_kernel_forward(plane, kernels, cfg.optical, aperture)
-    noise = cfg.noise.to_spec() if cfg.noise.sigma > 0 else None
+    noise = cfg.noise.to_spec()
     rng = np.random.default_rng(cfg.seed)
     outputs = [camera_capture(o, noise, rng=rng) for o in outputs]
 

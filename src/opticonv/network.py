@@ -301,23 +301,42 @@ def _conv_digital(
     return fields, spectrum
 
 
+def _capture_frame(
+    frame: np.ndarray,
+    bank: np.ndarray,
+    config: OpticalConfig,
+    noise: NoiseSpec | None,
+    rng: np.random.Generator | None,
+    workers: int,
+    out: np.ndarray,
+) -> None:
+    """Capture one G x G micromirror frame through every kernel of ``bank``
+    into ``out`` (K, G, G): kernel pairs on diffraction orders 0 and 1 behind
+    an ideal aperture, then the camera model, in kernel order."""
+    if noise is not None and noise.bin_factor > 1:
+        raise ValueError(
+            f"optical capture needs camera bin_factor 1, got {noise.bin_factor}: "
+            "binning would shrink the feature windows the head reads"
+        )
+    plane = FieldPlane.from_bits(frame, config.dmd_pitch)
+    for k0 in range(0, len(bank), 2):
+        pair = list(bank[k0 : k0 + 2])
+        aperture = ideal_aperture(range(len(pair)), frame.shape, config)
+        maps = multi_kernel_forward(plane, pair, config, aperture, workers=workers)
+        for k, m in enumerate(maps, start=k0):
+            out[k] = camera_capture(m, noise, rng=rng)
+
+
 def _conv_optical(
     bits: np.ndarray,
     params: ModelParams,
     config: OpticalConfig,
     noise: NoiseSpec | None,
     rng: np.random.Generator | None,
-    kernel_parallelism: int = 2,
     workers: int = 1,
 ) -> np.ndarray:
-    """Route through the physical-path model: diffraction-order kernel groups
-    behind an ideal aperture, then camera capture. Noise-free output matches
-    the digital path to floating-point precision."""
-    if noise is not None and noise.bin_factor > 1:
-        raise ValueError(
-            f"optical conv features need camera bin_factor 1, got {noise.bin_factor}: "
-            "binning would shrink the feature window the head reads"
-        )
+    """Capture each image centred on its own frame and crop the window.
+    Noise-free output matches the digital path to floating-point precision."""
     g = params.grid
     h, w = params.image_hw
     bits = np.asarray(bits)
@@ -327,18 +346,13 @@ def _conv_optical(
     r0, c0 = (g - h) // 2, (g - w) // 2
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
+    frame = np.zeros((g, g), dtype=np.uint8)
+    maps = np.empty((params.n_kernels, g, g))
     out = np.empty((bits.shape[0], params.n_kernels, h, w))
     for i, img in enumerate(bits):
-        frame = np.zeros((g, g), dtype=np.uint8)
         frame[r0 : r0 + h, c0 : c0 + w] = img
-        plane = FieldPlane.from_bits(frame, config.dmd_pitch)
-        maps = []
-        for k0 in range(0, params.n_kernels, kernel_parallelism):
-            group = list(bank[k0 : k0 + kernel_parallelism])
-            aperture = ideal_aperture(range(len(group)), (g, g), config)
-            maps.extend(multi_kernel_forward(plane, group, config, aperture, workers=workers))
-        captured = np.stack([camera_capture(m, noise, rng=rng) for m in maps])
-        out[i] = captured[:, r0 : r0 + h, c0 : c0 + w]
+        _capture_frame(frame, bank, config, noise, rng, workers, maps)
+        out[i] = maps[:, r0 : r0 + h, c0 : c0 + w]
     feats, _ = _normalize_features(out)
     return feats
 
@@ -407,15 +421,31 @@ def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
     return hidden @ params.fc2_w + params.fc2_b
 
 
-def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def _head_step(
+    flat: np.ndarray, labels: np.ndarray, params: ModelParams
+) -> tuple[float, float, dict[str, np.ndarray], np.ndarray]:
+    """Dense head forward and backward on pooled, flattened features (B, D):
+    softmax cross-entropy loss, accuracy, the fc gradients and dL/d(fc1
+    pre-activation), from which the caller may continue the backward pass."""
+    pre1 = flat @ params.fc1_w + params.fc1_b
+    hidden = np.maximum(pre1, 0.0)
+    logits = hidden @ params.fc2_w + params.fc2_b
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    n = len(labels)
-    loss = -float(np.mean(np.log(p[np.arange(n), labels] + 1e-300)))
-    grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    rows = np.arange(len(labels))
+    loss = -float(np.mean(np.log(p[rows, labels] + 1e-300)))
+    acc = float(np.mean(logits.argmax(axis=1) == labels))
+    p[rows, labels] -= 1.0
+    dlogits = p / len(labels)
+    dpre1 = (dlogits @ params.fc2_w.T) * (pre1 > 0)
+    grads = {
+        "fc2_w": hidden.T @ dlogits,
+        "fc2_b": dlogits.sum(axis=0),
+        "fc1_w": flat.T @ dpre1,
+        "fc1_b": dpre1.sum(axis=0),
+    }
+    return loss, acc, grads, dpre1
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +467,8 @@ def _loss_and_grads(
     feats, peak = _normalize_features(raw)
     b, k, h, w = feats.shape
     pooled, pool_idx = _maxpool2(feats)
-    flat = pooled.reshape(b, -1)
-    pre1 = flat @ params.fc1_w + params.fc1_b
-    hidden = np.maximum(pre1, 0.0)
-    logits = hidden @ params.fc2_w + params.fc2_b
-    loss, dlogits = _softmax_xent(logits, labels)
-    acc = float(np.mean(logits.argmax(axis=1) == labels))
-
-    grads: dict[str, np.ndarray] = {}
-    grads["fc2_w"] = hidden.T @ dlogits
-    grads["fc2_b"] = dlogits.sum(axis=0)
-    dhidden = dlogits @ params.fc2_w.T
-    dpre1 = dhidden * (pre1 > 0)
-    grads["fc1_w"] = flat.T @ dpre1
-    grads["fc1_b"] = dpre1.sum(axis=0)
-    dflat = dpre1 @ params.fc1_w.T
-    dpooled = dflat.reshape(pooled.shape)
+    loss, acc, grads, dpre1 = _head_step(pooled.reshape(b, -1), labels, params)
+    dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
     dfeats = _maxpool2_backward(dpooled, pool_idx, feats.shape)
 
     # Through the unit-max gain: y = raw / m with m the per-frame peak; the
@@ -603,24 +619,12 @@ def finetune_stage2(
         losses, accs = [], []
         for s in range(0, n, config.batch_size):
             sel = order[s : s + config.batch_size]
-            flat = flat_all[sel]
-            pre1 = flat @ params.fc1_w + params.fc1_b
-            hidden = np.maximum(pre1, 0.0)
-            logits = hidden @ params.fc2_w + params.fc2_b
-            loss, dlogits = _softmax_xent(logits, labels[sel])
+            loss, acc, grads, _ = _head_step(flat_all[sel], labels[sel], params)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"stage 2 diverged at epoch {epoch}")
-            dhidden = dlogits @ params.fc2_w.T
-            dpre1 = dhidden * (pre1 > 0)
-            grads = {
-                "fc2_w": hidden.T @ dlogits,
-                "fc2_b": dlogits.sum(axis=0),
-                "fc1_w": flat.T @ dpre1,
-                "fc1_b": dpre1.sum(axis=0),
-            }
             params = opt.step(params, grads, config.lr_stage2, config.momentum)
             losses.append(loss)
-            accs.append(float(np.mean(logits.argmax(axis=1) == labels[sel])))
+            accs.append(acc)
         trace.append(
             {
                 "epoch": epoch,
@@ -637,8 +641,11 @@ def finetune_stage2(
 # evaluation
 
 
-def _predict_from_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
-    return head_forward(features, params).argmax(axis=1)
+def _score(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> EvalResult:
+    labels = np.asarray(labels)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
+    return EvalResult(float(np.mean(preds == labels)), confusion, len(labels))
 
 
 def predict(
@@ -651,13 +658,15 @@ def predict(
     batch_size: int = 256,
     workers: int = 1,
 ) -> np.ndarray:
+    # One noise stream across batches, so no two batches see the same draws.
+    rng = None if noise is None else np.random.default_rng(noise.seed)
     out = []
     for s in range(0, len(bits), batch_size):
         feats = conv_fourier_forward(
             bits[s : s + batch_size], params, mode=mode, config=config, noise=noise,
-            dtype=dtype, workers=workers,
+            rng=rng, dtype=dtype, workers=workers,
         )
-        out.append(_predict_from_features(feats, params))
+        out.append(head_forward(feats, params).argmax(axis=1))
     return np.concatenate(out)
 
 
@@ -674,11 +683,7 @@ def evaluate(
     """Top-1 accuracy and per-class confusion on a (bits, labels) split."""
     bits, labels = dataset
     preds = predict(params, bits, mode, config, noise, dtype, batch_size, workers)
-    labels = np.asarray(labels)
-    c = params.n_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
-    return EvalResult(float(np.mean(preds == labels)), confusion, len(labels))
+    return _score(preds, labels, params.n_classes)
 
 
 def features_tiled(
@@ -703,21 +708,13 @@ def features_tiled(
     bank = binarized_kernels(params)
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
+    maps = np.empty((params.n_kernels, g, g))
     feats = np.empty((len(bits), params.n_kernels, h, w))
     cap = layout.capacity
     for s in range(0, len(bits), cap):
         group = bits[s : s + cap]
-        frame = tile(list(group), layout)
-        plane = FieldPlane.from_bits(frame, config.dmd_pitch)
-        maps = []
-        for k0 in range(0, params.n_kernels, 2):
-            kern = list(bank[k0 : k0 + 2])
-            aperture = ideal_aperture(range(len(kern)), (g, g), config)
-            maps.extend(multi_kernel_forward(plane, kern, config, aperture, workers=workers))
-        captured = np.stack([camera_capture(m, noise, rng=rng) for m in maps])
-        windows = untile(captured, layout, count=len(group), content_shape=(h, w))
-        for j, win in enumerate(windows):
-            feats[s + j] = win
+        _capture_frame(tile(list(group), layout), bank, config, noise, rng, workers, maps)
+        feats[s : s + len(group)] = untile(maps, layout, count=len(group), content_shape=(h, w))
     normalized, _ = _normalize_features(feats)
     return normalized
 
@@ -733,12 +730,7 @@ def evaluate_tiled(
     """Tiled batch evaluation: frames of ``layout.capacity`` images at once."""
     bits, labels = dataset
     feats = features_tiled(params, bits, layout, config, noise=noise, workers=workers)
-    preds = _predict_from_features(feats, params)
-    labels = np.asarray(labels)
-    c = params.n_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
-    return EvalResult(float(np.mean(preds == labels)), confusion, len(labels))
+    return _score(head_forward(feats, params).argmax(axis=1), labels, params.n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ kernel reproduces the input in its original orientation. Pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -54,10 +54,12 @@ class FrameOverflowError(ValueError):
 class OpticalConfig:
     """Physical constants of the optical bench.
 
-    Lengths are in meters, angles in degrees. ``superpixel`` is the number of
-    micromirrors per logical image pixel along each axis; ``horizontal_expand``
-    is the integer horizontal stretch that compensates the tilted-mirror
-    geometry (2 ~ 1/cos 57 deg rounded to an integer for binary modulation).
+    Lengths are in meters. ``superpixel`` is the number of micromirrors per
+    logical image pixel along each axis; ``horizontal_expand`` is the integer
+    horizontal stretch that compensates the tilted-mirror geometry of the
+    reference bench (57 deg incidence, 12 deg mirror tilt: 2 ~ 1/cos 57 deg
+    rounded to an integer for binary modulation). The angles enter the model
+    only through that stretch.
     """
 
     wavelength: float = 450e-9
@@ -66,8 +68,6 @@ class OpticalConfig:
     dmd_cols: int = 1920
     dmd_rows: int = 1080
     superpixel: int = 3
-    incidence_angle: float = 57.0
-    mirror_tilt: float = 12.0
     horizontal_expand: int = 2
 
     def __post_init__(self) -> None:
@@ -126,29 +126,26 @@ class FieldPlane:
 
 @dataclass(frozen=True)
 class ApertureMask:
-    """Binary mask with rectangular open regions, one per output channel.
+    """Aperture with rectangular open regions, one per output channel.
 
     ``open_regions`` are half-open pixel rectangles (r0, c0, r1, c1) on the
-    camera-side frame; the mask is 1 inside the regions and 0 elsewhere.
+    camera-side frame; regions may not overlap.
     """
 
-    mask: np.ndarray
     open_regions: tuple[tuple[int, int, int, int], ...]
 
     @classmethod
     def from_regions(
         cls, frame_shape: tuple[int, int], regions: Sequence[tuple[int, int, int, int]]
     ) -> "ApertureMask":
-        mask = np.zeros(frame_shape, dtype=np.uint8)
         cover = np.zeros(frame_shape, dtype=np.uint8)
         for r0, c0, r1, c1 in regions:
             if not (0 <= r0 < r1 <= frame_shape[0] and 0 <= c0 < c1 <= frame_shape[1]):
                 raise ValueError(f"region {(r0, c0, r1, c1)} outside frame {frame_shape}")
             cover[r0:r1, c0:c1] += 1
-            mask[r0:r1, c0:c1] = 1
         if (cover > 1).any():
             raise ValueError("crosstalk not blocked: aperture regions overlap")
-        return cls(mask=mask, open_regions=tuple(tuple(r) for r in regions))
+        return cls(open_regions=tuple(tuple(r) for r in regions))
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,6 @@ def multi_kernel_forward(
     config: OpticalConfig,
     aperture: ApertureMask | None,
     orders: Sequence[int] | None = None,
-    order_efficiency: Mapping[int, float] | None = None,
     workers: int = 1,
 ) -> list[np.ndarray]:
     """Simultaneous convolution with one kernel per diffraction order.
@@ -324,11 +320,12 @@ def multi_kernel_forward(
     The input spectrum repeats at each grating order of the input mirror
     array; kernel ``j`` multiplies the replica in its window and its output
     lands in a distinct camera window because the replica arrives at a
-    distinct angle. Re-diffraction at the kernel mirror array sends weighted
+    distinct angle. Re-diffraction at the kernel mirror array sends
     copies of every window toward every other camera window; with the
     aperture in place those parasitic paths are blocked and each output
     equals the single-kernel result, without it they add coherently and the
-    outputs carry cross terms.
+    outputs carry cross terms. No power split between orders is published
+    for this bench, so every order carries unit weight.
 
     Parameters
     ----------
@@ -337,9 +334,6 @@ def multi_kernel_forward(
         A mask must declare exactly one open region per kernel.
     orders : sequence of int, optional
         Diffraction order assigned to each kernel; defaults to 0, 1, -1, ...
-    order_efficiency : mapping order -> relative amplitude weight, optional
-        Power split between orders. No split is published for this bench, so
-        all orders default to weight 1.0.
 
     Returns
     -------
@@ -360,11 +354,6 @@ def multi_kernel_forward(
     for m in orders:
         order_offset_px(m, config)  # raises if the window falls off the array
 
-    def eff(order: int) -> float:
-        if order_efficiency is None:
-            return 1.0
-        return float(order_efficiency.get(order, 1.0))
-
     kernels = [_check_kernel(kk, shape) for kk in kernels]
     if aperture is not None and len(aperture.open_regions) != k:
         raise ValueError(
@@ -372,21 +361,18 @@ def multi_kernel_forward(
         )
 
     spectrum = cft2(input_plane.amplitude, workers=workers)
-    base_fields = [icft2(eff(m) * spectrum * kern, workers=workers) for m, kern in zip(orders, kernels)]
+    base_fields = [icft2(spectrum * kern, workers=workers) for kern in kernels]
 
     if aperture is not None:
         # Open region j passes only window j's bundle; parasitic paths are
         # blocked, so each channel reduces exactly to the single-kernel pass.
         outputs = [np.abs(f) ** 2 for f in base_fields]
     else:
-        # Without the aperture the re-diffraction replica of window l at
-        # relative order (m_j - m_l) lands on camera window j.
-        outputs = []
-        for j, m_j in enumerate(orders):
-            mixed = np.zeros(shape, dtype=np.complex128)
-            for l, m_l in enumerate(orders):
-                mixed += eff(m_j - m_l) * base_fields[l]
-            outputs.append(np.abs(mixed) ** 2)
+        # Without the aperture the re-diffraction replica of every window
+        # lands on every camera window; at unit weights each window sees the
+        # same coherent sum.
+        mixed = np.abs(sum(base_fields)) ** 2
+        outputs = [mixed.copy() for _ in orders]
     for out in outputs:
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("numerical failure: non-finite intensity")

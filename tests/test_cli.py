@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -62,6 +64,41 @@ class TestConfig:
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == cli.EXIT_USAGE
 
+    def test_every_config_field_is_read(self):
+        # a config value nothing reads is a knob that silently does nothing;
+        # reads inside __post_init__ are validation, not use
+        class Reads(ast.NodeVisitor):
+            def __init__(self):
+                self.names = set()
+
+            def visit_FunctionDef(self, node):
+                if node.name != "__post_init__":
+                    self.generic_visit(node)
+
+            def visit_Attribute(self, node):
+                if isinstance(node.ctx, ast.Load):
+                    self.names.add(node.attr)
+                self.generic_visit(node)
+
+        reads = Reads()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            reads.visit(ast.parse(path.read_text()))
+        sections = [f.default for f in dataclasses.fields(cli.RunConfig)
+                    if dataclasses.is_dataclass(f.default)]
+        assert {type(s).__name__ for s in sections} >= {"OpticalConfig", "NoiseSection"}
+        unread = [f"{type(s).__name__}.{f.name}" for s in sections
+                  for f in dataclasses.fields(s) if f.name not in reads.names]
+        assert unread == []
+
+    @pytest.mark.parametrize("doc", [{"layout": {"gap_px": 30}},
+                                     {"optical": {"incidence_angle": 57.0}}],
+                             ids=["layout", "incidence_angle"])
+    def test_removed_keys_rejected(self, tmp_path, doc):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.UsageError):
+            cli.load_run_config(path)
+
 
 def assert_one_line_usage_error(code, capsys, needle):
     assert code == cli.EXIT_USAGE
@@ -96,6 +133,34 @@ class TestFailureContract:
         code = run(["--config", binned, "--out-dir", tmp_path / "runs",
                     command[0], ckpt, "--dataset", "mnist", *command[1:]])
         assert_one_line_usage_error(code, capsys, "bin_factor")
+
+    def test_binned_optical_eval_at_zero_sigma(self, small_config, tmp_path, capsys):
+        # the camera model runs at sigma 0 too, so its bin_factor must reach it
+        cfg = json.loads(small_config.read_text())
+        cfg["noise"].update(sigma=0.0, bin_factor=2)
+        binned = tmp_path / "binned.json"
+        binned.write_text(json.dumps(cfg))
+        t = cfg["train"]
+        params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"],
+                                     hidden=t["hidden"])
+        ckpt = network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+        code = run(["--config", binned, "--out-dir", tmp_path / "runs",
+                    "eval", ckpt, "--dataset", "mnist", "--mode", "optical", "--limit", 4])
+        assert_one_line_usage_error(code, capsys, "bin_factor")
+
+    def test_binned_simulate_windows(self, small_config, tmp_path, capsys):
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["grid"] = 32
+        cfg["noise"].update(sigma=0.01, bin_factor=2)
+        binned = tmp_path / "binned.json"
+        binned.write_text(json.dumps(cfg))
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((16, 16), np.uint8))
+        out_dir = tmp_path / "runs"
+        code = run(["--config", binned, "--out-dir", out_dir,
+                    "simulate", img_path, "--windows", "2x2"])
+        assert_one_line_usage_error(code, capsys, "bin_factor")
+        assert not out_dir.exists()
 
 
 class TestPerfCommand:
@@ -225,6 +290,24 @@ class TestSimulateCommand:
         g = cfg["train"]["grid"]
         r0, c0 = (g - 28) // 2, (g - 28) // 2
         assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
+
+    def test_binning_at_zero_sigma(self, small_config, tmp_path):
+        # sigma 0 still runs the camera model: bin_factor 2 halves the maps
+        rng = np.random.default_rng(2)
+        img_path = tmp_path / "digit.npy"
+        np.save(img_path, rng.integers(0, 2, (28, 28)).astype(np.uint8))
+        cfg = json.loads(small_config.read_text())
+        maps = {}
+        for b in (1, 2):
+            cfg["noise"].update(sigma=0.0, bin_factor=b)
+            path = tmp_path / f"bin{b}.json"
+            path.write_text(json.dumps(cfg))
+            out_dir = tmp_path / f"runs{b}"
+            assert run(["--config", path, "--out-dir", out_dir, "simulate", img_path]) == 0
+            maps[b], _ = read_raw(next(out_dir.glob("simulate-*")) / "kernel0.f64")
+        g = cfg["train"]["grid"]
+        assert maps[2].shape == (g // 2, g // 2)
+        assert np.allclose(maps[2], maps[1].reshape(g // 2, 2, g // 2, 2).mean(axis=(1, 3)))
 
     def test_oversized_image_rejected(self, small_config, tmp_path):
         img_path = tmp_path / "big.npy"

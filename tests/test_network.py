@@ -361,6 +361,27 @@ class TestEvaluate:
         res = evaluate(params, (bits, labels), mode="digital", dtype="float64")
         assert res.confusion.trace() == int(round(res.accuracy * 20))
 
+    def test_optical_noise_stream_spans_batches(self, monkeypatch):
+        # identical images in two batches must not see the same noise draws:
+        # the batched features equal one capture of all images under one seed
+        params = toy_params(seed=22)
+        bits = np.repeat(toy_batch(22, n=1)[0], 8, axis=0)
+        noise = NoiseSpec(sigma=0.2, seed=5)
+        seen = []
+        head = network.head_forward
+
+        def recording_head(features, p):
+            seen.append(features)
+            return head(features, p)
+
+        monkeypatch.setattr(network, "head_forward", recording_head)
+        network.predict(params, bits, mode="optical", config=OpticalConfig(), noise=noise,
+                        batch_size=4)
+        assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
+        whole = conv_fourier_forward(bits, params, mode="optical", config=OpticalConfig(),
+                                     noise=noise, rng=np.random.default_rng(noise.seed))
+        assert np.array_equal(np.concatenate(seen), whole)
+
 
 class TestTiled:
     def test_tiled_windows_transparent_on_all_pass_path(self):
@@ -385,6 +406,13 @@ class TestTiled:
         layout = TileLayout(grid_rows=1, grid_cols=1, gap=0, tile_px=(8, 8), frame=(32, 32))
         with pytest.raises(ValueError, match="grid"):
             features_tiled(params, np.zeros((1, 8, 8), np.uint8), layout, OpticalConfig())
+
+    def test_binning_rejected(self):
+        params = toy_params(seed=19, grid=32)
+        layout = TileLayout(grid_rows=1, grid_cols=1, gap=0, tile_px=(8, 8), frame=(32, 32))
+        with pytest.raises(ValueError, match="bin_factor"):
+            features_tiled(params, np.zeros((1, 8, 8), np.uint8), layout, OpticalConfig(),
+                           noise=NoiseSpec(bin_factor=2))
 
     def test_evaluate_tiled_smoke(self):
         grid = 64

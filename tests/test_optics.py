@@ -40,8 +40,6 @@ class TestOpticalConfig:
         assert paper_config.dmd_pitch == 7.6e-6
         assert (paper_config.dmd_cols, paper_config.dmd_rows) == (1920, 1080)
         assert paper_config.superpixel == 3
-        assert paper_config.incidence_angle == 57.0
-        assert paper_config.mirror_tilt == 12.0
         assert paper_config.horizontal_expand == 2
 
     @pytest.mark.parametrize("bad", [
@@ -146,8 +144,7 @@ class TestFieldPlane:
 class TestApertureMask:
     def test_mask_matches_regions(self):
         mask = ApertureMask.from_regions((8, 16), [(0, 0, 8, 8), (0, 8, 8, 16)])
-        assert mask.mask.sum() == 8 * 16
-        assert len(mask.open_regions) == 2
+        assert mask.open_regions == ((0, 0, 8, 8), (0, 8, 8, 16))
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="crosstalk"):
@@ -258,6 +255,8 @@ class TestMultiKernel:
         leaky = multi_kernel_forward(plane, kernels, paper_config, aperture=None)
         assert not np.allclose(clean[0], leaky[0])
         assert not np.allclose(clean[1], leaky[1])
+        # unit order weights: both windows see the same coherent sum
+        assert np.array_equal(leaky[0], leaky[1])
 
     def test_permutation_equivariance(self, paper_config):
         rng = np.random.default_rng(10)
