@@ -28,7 +28,7 @@ import numpy as np
 from . import datapipe, fieldio, network, perfmodel
 from .datapipe import DataFormatError
 from .network import TrainingDivergedError
-from .optics import FieldPlane, NoiseSpec, OpticalConfig, camera_capture, cft2, ideal_aperture, multi_kernel_forward
+from .optics import FieldPlane, NoiseSpec, OpticalConfig, camera_capture, ideal_aperture, multi_kernel_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -347,17 +347,33 @@ def _load_sim_image(path: Path) -> np.ndarray:
     return img
 
 
+def _parse_windows(spec: str, image_shape: tuple[int, ...]) -> tuple[int, int]:
+    """``RxC`` with 1 <= R <= image rows and 1 <= C <= image cols."""
+    match = re.fullmatch(r"(\d+)x(\d+)", spec)
+    if match is None:
+        raise UsageError(f"--windows expects RxC, e.g. 7x7, got {spec!r}")
+    rows, cols = int(match[1]), int(match[2])
+    if not (1 <= rows <= image_shape[0] and 1 <= cols <= image_shape[1]):
+        raise UsageError(
+            f"--windows {spec} does not fit the {image_shape[0]}x{image_shape[1]} image: "
+            "need 1 <= R <= rows and 1 <= C <= cols"
+        )
+    return rows, cols
+
+
 def cmd_simulate(args, cfg: RunConfig) -> int:
     if args.windows and cfg.noise.bin_factor > 1:
         raise ValueError(
             f"simulate --windows needs noise.bin_factor 1, got {cfg.noise.bin_factor}: "
             "windows are cut in unbinned frame coordinates"
         )
-    run_dir = _run_dir(args.out_dir, cfg, "simulate")
     img = _load_sim_image(Path(args.image))
     g = cfg.train.grid
     if img.shape[0] > g or img.shape[1] > g:
         raise DataFormatError(f"image {img.shape} exceeds the {g}-px simulation grid")
+    if args.windows:
+        rows, cols = _parse_windows(args.windows, img.shape)
+    run_dir = _run_dir(args.out_dir, cfg, "simulate")
     bits = (img > 0).astype(np.uint8)
     frame = np.zeros((g, g), dtype=np.uint8)
     r0, c0 = (g - bits.shape[0]) // 2, (g - bits.shape[1]) // 2
@@ -379,7 +395,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     pitch = cfg.optical.dmd_pitch
     fieldio.write_pgm(frame, run_dir / "input.pgm")
     fieldio.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
-    spectrum_mag = np.abs(cft2(plane.amplitude))
+    spectrum_mag = np.abs(plane.spectrum())
     fieldio.write_pgm(spectrum_mag, run_dir / "fourier_mag.pgm")
     fieldio.write_raw(spectrum_mag, run_dir / "fourier_mag.f64", pitch)
     n_windows = 0
@@ -387,7 +403,6 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         fieldio.write_pgm(out, run_dir / f"kernel{kidx}.pgm")
         fieldio.write_raw(out, run_dir / f"kernel{kidx}.f64", pitch)
         if args.windows:
-            rows, cols = (int(t) for t in args.windows.split("x"))
             wh, ww = bits.shape[0] // rows, bits.shape[1] // cols
             for r in range(rows):
                 for c in range(cols):

@@ -312,7 +312,8 @@ def _capture_frame(
 ) -> None:
     """Capture one G x G micromirror frame through every kernel of ``bank``
     into ``out`` (K, G, G): kernel pairs on diffraction orders 0 and 1 behind
-    an ideal aperture, then the camera model, in kernel order."""
+    an ideal aperture, then the camera model, in kernel order. Every pair
+    multiplies the one input spectrum the frame's plane caches."""
     if noise is not None and noise.bin_factor > 1:
         raise ValueError(
             f"optical capture needs camera bin_factor 1, got {noise.bin_factor}: "
@@ -389,20 +390,25 @@ def conv_fourier_forward(
 # head
 
 
-def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    b, k, h, w = x.shape
-    v = x.reshape(b, k, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        b, k, h // 2, w // 2, 4
+def _maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max-pool, stride 2, over the last two axes."""
+    return np.maximum(
+        np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
+        np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]),
     )
-    idx = v.argmax(axis=-1)
-    return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], idx
 
 
-def _maxpool2_backward(grad: np.ndarray, idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    b, k, h, w = shape
-    v = np.zeros((b, k, h // 2, w // 2, 4), dtype=grad.dtype)
-    np.put_along_axis(v, idx[..., None], grad[..., None], axis=-1)
-    return v.reshape(b, k, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, k, h, w)
+def _maxpool2_backward(grad: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient to the first maximum of its 2x2 block in
+    row-major order (``argmax``'s tie rule); +0.0 everywhere else."""
+    out = np.zeros(x.shape, dtype=grad.dtype)
+    free = np.ones(pooled.shape, dtype=bool)
+    for dr in (0, 1):
+        for dc in (0, 1):
+            hit = free & (x[..., dr::2, dc::2] == pooled)
+            np.copyto(out[..., dr::2, dc::2], grad, where=hit)
+            free &= ~hit
+    return out
 
 
 def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -415,8 +421,7 @@ def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
             f"feature shape {(k, h, w)} does not match params "
             f"{(params.n_kernels, *params.image_hw)}"
         )
-    pooled, _ = _maxpool2(features)
-    flat = pooled.reshape(b, -1)
+    flat = _maxpool2(features).reshape(b, -1)
     hidden = np.maximum(flat @ params.fc1_w + params.fc1_b, 0.0)
     return hidden @ params.fc2_w + params.fc2_b
 
@@ -466,10 +471,10 @@ def _loss_and_grads(
     raw = fields.real**2 + fields.imag**2
     feats, peak = _normalize_features(raw)
     b, k, h, w = feats.shape
-    pooled, pool_idx = _maxpool2(feats)
+    pooled = _maxpool2(feats)
     loss, acc, grads, dpre1 = _head_step(pooled.reshape(b, -1), labels, params)
     dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
-    dfeats = _maxpool2_backward(dpooled, pool_idx, feats.shape)
+    dfeats = _maxpool2_backward(dpooled, feats, pooled)
 
     # Through the unit-max gain: y = raw / m with m the per-frame peak; the
     # peak pixel collects the -sum(dL/dy * y)/m term.
@@ -608,8 +613,7 @@ def finetune_stage2(
             f"{(params.n_kernels, *params.image_hw)}"
         )
     kernels_before = params.fourier_kernels
-    pooled, _ = _maxpool2(features)
-    flat_all = pooled.reshape(len(features), -1)
+    flat_all = _maxpool2(features).reshape(len(features), -1)
     rng = np.random.default_rng(config.seed + 1)
     opt = _Momentum(("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
     trace: list[dict] = []

@@ -21,7 +21,7 @@ kernel reproduces the input in its original orientation. Pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,20 +88,36 @@ PAPER_BENCH = OpticalConfig()
 
 @dataclass(frozen=True)
 class FieldPlane:
-    """A 2D complex field sampled on a uniform grid with physical pitch."""
+    """A 2D complex field sampled on a uniform grid with physical pitch.
+
+    The plane owns a read-only complex128 copy of the amplitude, so the
+    spectrum it caches cannot go stale.
+    """
 
     amplitude: np.ndarray
     pitch: float
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitude, dtype=np.complex128)
+        amp = np.array(self.amplitude, dtype=np.complex128)
         if amp.ndim != 2:
             raise ValueError("amplitude must be a 2D grid")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitude contains NaN or Inf")
         if self.pitch <= 0:
             raise ValueError("pixel pitch must be positive")
+        amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
+
+    def spectrum(self, workers: int = 1) -> np.ndarray:
+        """``cft2`` of the amplitude (the first lens's output), computed on
+        first use and shared by every kernel that multiplies it; read-only.
+        Worker count does not change its bits."""
+        if self._spectrum is None:
+            spec = cft2(self.amplitude, workers=workers)
+            spec.flags.writeable = False
+            object.__setattr__(self, "_spectrum", spec)
+        return self._spectrum
 
     @property
     def height(self) -> int:
@@ -121,7 +137,7 @@ class FieldPlane:
         bits = np.asarray(bits)
         if not np.isin(bits, (0, 1)).all():
             raise ValueError("micromirror input must be binary (0/1)")
-        return cls(amplitude=bits.astype(np.complex128), pitch=pitch)
+        return cls(amplitude=bits, pitch=pitch)
 
 
 @dataclass(frozen=True)
@@ -278,8 +294,7 @@ def forward_4f(
     |field|^2 per pixel in double precision.
     """
     kernel = _check_kernel(kernel, input_plane.amplitude.shape)
-    spectrum = cft2(input_plane.amplitude, workers=workers)
-    filtered = spectrum * kernel
+    filtered = input_plane.spectrum(workers) * kernel
     second = icft2 if flip_normalize else cft2
     out_field = second(filtered, workers=workers)
     intensity = np.abs(out_field) ** 2
@@ -360,23 +375,25 @@ def multi_kernel_forward(
             f"aperture declares {len(aperture.open_regions)} regions for {k} kernels"
         )
 
-    spectrum = cft2(input_plane.amplitude, workers=workers)
-    base_fields = [icft2(spectrum * kern, workers=workers) for kern in kernels]
+    # icft2 of every filtered replica in one batched transform. Its outer
+    # fftshift is a permutation, so it is applied to the intensity instead.
+    filtered = input_plane.spectrum(workers) * np.stack(kernels)
+    fields = scipy.fft.ifft2(
+        scipy.fft.ifftshift(filtered, axes=(-2, -1)), norm="ortho", overwrite_x=True, workers=workers
+    )
 
     if aperture is not None:
         # Open region j passes only window j's bundle; parasitic paths are
         # blocked, so each channel reduces exactly to the single-kernel pass.
-        outputs = [np.abs(f) ** 2 for f in base_fields]
+        intensity = np.abs(fields) ** 2
     else:
         # Without the aperture the re-diffraction replica of every window
         # lands on every camera window; at unit weights each window sees the
         # same coherent sum.
-        mixed = np.abs(sum(base_fields)) ** 2
-        outputs = [mixed.copy() for _ in orders]
-    for out in outputs:
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("numerical failure: non-finite intensity")
-    return outputs
+        intensity = np.broadcast_to(np.abs(sum(fields)) ** 2, fields.shape)
+    if not np.all(np.isfinite(intensity)):
+        raise FloatingPointError("numerical failure: non-finite intensity")
+    return list(scipy.fft.fftshift(intensity, axes=(-2, -1)))
 
 
 def camera_capture(
@@ -402,7 +419,14 @@ def camera_capture(
     if noise.sigma > 0 or noise.dark > 0:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
+        # max(I * (1 + sigma * n) + dark, 0), built in one fresh buffer
         if noise.sigma > 0:
-            out = out * (1.0 + noise.sigma * rng.standard_normal(out.shape))
-        out = np.maximum(out + noise.dark, 0.0)
+            buf = rng.standard_normal(out.shape)
+            buf *= noise.sigma
+            buf += 1.0
+            buf *= out
+        else:
+            buf = out.copy()
+        buf += noise.dark
+        out = np.maximum(buf, 0.0, out=buf)
     return out

@@ -3,8 +3,9 @@
 Written before the code paths they guard and kept free of any fast-transform
 or package internals: the spectral oracle evaluates the centered unitary DFT
 as an explicit exponential-sum matrix product, the convolution oracle does an
-O(N^4) direct circular convolution, and the energy-efficiency oracle is a
-second literal transcription of the printed formulas.
+O(N^4) direct circular convolution, the max-pool oracle picks each block's
+entry by ``argmax``, and the energy-efficiency oracle is a second literal
+transcription of the printed formulas.
 """
 
 from __future__ import annotations
@@ -69,6 +70,25 @@ def conv_4f_oracle(bits: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         out = np.einsum("mn,qmrn->qr", bits.astype(complex), shifted)
     out /= math.sqrt(rows * cols)
     return np.abs(out) ** 2
+
+
+def maxpool2_oracle(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max-pool of (B, K, H, W) by ``argmax`` over each block's four
+    entries in row-major order; returns the pooled values and that index."""
+    b, k, h, w = x.shape
+    v = x.reshape(b, k, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        b, k, h // 2, w // 2, 4
+    )
+    idx = v.argmax(axis=-1)
+    return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], idx
+
+
+def maxpool2_backward_oracle(grad: np.ndarray, idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Scatter each pooled gradient to its block's ``argmax`` entry, zero elsewhere."""
+    b, k, h, w = shape
+    v = np.zeros((b, k, h // 2, w // 2, 4), dtype=grad.dtype)
+    np.put_along_axis(v, idx[..., None], grad[..., None], axis=-1)
+    return v.reshape(b, k, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, k, h, w)
 
 
 def ops_per_watt_fft_oracle(M, N, m, n, i, k, f, P) -> float:

@@ -162,6 +162,19 @@ class TestFailureContract:
         assert_one_line_usage_error(code, capsys, "bin_factor")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("windows", ["0x2", "2x0", "17x2", "2x17", "32x2", "2", "2x2x2", "ax2"])
+    def test_simulate_windows_must_fit_the_image(self, small_config, tmp_path, capsys, windows):
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["grid"] = 32
+        path = tmp_path / "grid32.json"
+        path.write_text(json.dumps(cfg))
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((16, 16), np.uint8))
+        out_dir = tmp_path / "runs"
+        code = run(["--config", path, "--out-dir", out_dir, "simulate", img_path, "--windows", windows])
+        assert_one_line_usage_error(code, capsys, "--windows")
+        assert not out_dir.exists()
+
 
 class TestPerfCommand:
     def test_default_report(self, tmp_path):
@@ -327,3 +340,12 @@ class TestSimulateCommand:
                     "simulate", img_path, "--kernels", 2, "--windows", "2x2"]) == 0
         run_dir = next(out_dir.glob("simulate-*"))
         assert len(list(run_dir.glob("kernel*_win*.pgm"))) == 8
+
+    def test_one_pixel_windows(self, small_config, tmp_path):
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((16, 4), np.uint8))
+        out_dir = tmp_path / "runs"
+        assert run(["--config", small_config, "--out-dir", out_dir,
+                    "simulate", img_path, "--windows", "16x4"]) == 0
+        run_dir = next(out_dir.glob("simulate-*"))
+        assert len(list(run_dir.glob("kernel0_win*.pgm"))) == 64

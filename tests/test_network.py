@@ -29,7 +29,7 @@ from opticonv.network import (
 )
 from opticonv.optics import NoiseSpec, OpticalConfig
 
-from oracles import conv_4f_oracle
+from oracles import conv_4f_oracle, maxpool2_backward_oracle, maxpool2_oracle
 
 
 def toy_params(seed=0, grid=16, hw=(8, 8), k=2, classes=3, hidden=8, mask=False):
@@ -245,6 +245,24 @@ class TestHead:
         assert np.array_equal(logits_p.argmax(axis=1), inv[logits.argmax(axis=1)])
 
 
+class TestMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_argmax_oracle_bitwise(self, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 3, (4, 3, 8, 10)).astype(dtype)  # three levels: random ties
+        x[0] = 0.0  # all-zero frames
+        x[1] = rng.random((3, 4, 5)).repeat(2, axis=-2).repeat(2, axis=-1)  # constant blocks
+        x[2] = rng.random((3, 8, 10))  # no ties
+        grad = rng.standard_normal((4, 3, 4, 5)).astype(dtype)
+        grad[0, 0, 0, 0] = -0.0  # the routed value keeps its sign bit
+        pooled = network._maxpool2(x)
+        want, idx = maxpool2_oracle(x)
+        assert pooled.dtype == want.dtype and pooled.tobytes() == want.tobytes()
+        got = network._maxpool2_backward(grad, x, pooled)
+        ref = maxpool2_backward_oracle(grad, idx, x.shape)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 class TestGradients:
     def test_gradcheck_sampled(self):
         # quick spot check; the acceptance suite sweeps every coordinate
@@ -342,6 +360,22 @@ class TestStage2:
         cap = capture_features(params, bits[:4], OpticalConfig(), noise=None)
         dig = conv_fourier_forward(bits[:4], params, mode="digital", dtype="float64")
         assert np.max(np.abs(cap - dig)) < 1e-9
+
+
+class TestReadOnlyParams:
+    def test_training_and_capture_never_write_to_params(self):
+        # The perfbench gradient probe reads a step as the caller's masters
+        # minus the stepped ones; an in-place update would zero it silently.
+        params = toy_params(seed=15, mask=True)
+        for name in network._PARAM_NAMES:
+            getattr(params, name).flags.writeable = False
+        bits, labels = toy_batch(15, n=12)
+        cfg = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=4, seed=1, grid=16)
+        stepped, _ = train_stage1((bits, labels), cfg, params=params)
+        assert not np.array_equal(stepped.fourier_kernels, params.fourier_kernels)
+        feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=2))
+        tuned, _ = finetune_stage2(params, (feats, labels), cfg)
+        assert not np.array_equal(tuned.fc1_w, params.fc1_w)
 
 
 class TestEvaluate:

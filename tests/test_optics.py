@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opticonv import optics
 from opticonv.optics import (
     ApertureMask,
     FieldPlane,
@@ -140,6 +141,23 @@ class TestFieldPlane:
         with pytest.raises(ValueError):
             FieldPlane(amplitude=np.zeros((2, 2), complex), pitch=0.0)
 
+    def test_owns_a_read_only_copy(self):
+        src = np.zeros((8, 8), complex)
+        bits = np.zeros((8, 8), np.uint8)
+        planes = [FieldPlane(src, 7.6e-6), FieldPlane.from_bits(bits, 7.6e-6)]
+        for plane in planes:
+            plane.spectrum()
+        src[0, 0] = 1.0
+        bits[0, 0] = 1
+        for plane in planes:
+            assert plane.amplitude.dtype == np.complex128
+            assert not plane.amplitude.any()
+            assert not plane.spectrum().any()
+            with pytest.raises(ValueError):
+                plane.amplitude[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                plane.spectrum()[0, 0] = 1.0
+
 
 class TestApertureMask:
     def test_mask_matches_regions(self):
@@ -246,6 +264,31 @@ class TestMultiKernel:
         for out, kern in zip(outs, kernels):
             assert rel_rms(out, forward_4f(plane, kern, paper_config)) < 1e-9
 
+    def test_spectrum_formed_once_per_plane(self, paper_config, monkeypatch):
+        rng = np.random.default_rng(12)
+        plane = random_plane(rng, 32)
+        kernels = rng.integers(0, 2, (6, 32, 32)).astype(float)
+        aperture = ideal_aperture([0, 1], (32, 32), paper_config)
+        calls = []
+        real_cft2 = optics.cft2
+
+        def counted(field, workers=1):
+            calls.append(field.shape)
+            return real_cft2(field, workers=workers)
+
+        monkeypatch.setattr(optics, "cft2", counted)
+        maps = [
+            m
+            for k0 in range(0, len(kernels), 2)
+            for m in multi_kernel_forward(plane, list(kernels[k0 : k0 + 2]), paper_config, aperture)
+        ]
+        assert calls == [(32, 32)]
+        for m, kern in zip(maps, kernels, strict=True):
+            assert np.array_equal(m, forward_4f(plane, kern, paper_config))
+        assert calls == [(32, 32)]
+        for workers in (1, 2):
+            assert np.array_equal(plane.spectrum(), real_cft2(plane.amplitude, workers=workers))
+
     def test_no_aperture_has_cross_terms(self, paper_config):
         rng = np.random.default_rng(9)
         plane = random_plane(rng, 32)
@@ -313,6 +356,19 @@ class TestCameraCapture:
         b = camera_capture(img, spec)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, img)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_one_normal_per_binned_pixel(self, b):
+        img = np.random.default_rng(13).random((16, 16))
+        before = img.copy()
+        spec = NoiseSpec(sigma=1.5, dark=0.02, bin_factor=b)  # wide enough to clamp
+        got = camera_capture(img, spec, rng=np.random.default_rng(5))
+        binned = img.reshape(16 // b, b, 16 // b, b).mean(axis=(1, 3))
+        n = np.random.default_rng(5).standard_normal(binned.shape)
+        want = np.maximum(binned * (1 + spec.sigma * n) + spec.dark, 0.0)
+        assert (want == 0).any()
+        assert got.tobytes() == want.tobytes()
+        assert img.tobytes() == before.tobytes()
 
     def test_noise_unbiased(self):
         # Monte-Carlo: mean over 10^4 noisy samples of a constant plane
