@@ -329,7 +329,10 @@ _P5_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*)+(\d+)" * 3 + rb"\s")
 
 def _load_sim_image(path: Path) -> np.ndarray:
     if path.suffix == ".npy":
-        return np.load(path)
+        img = np.load(path)
+        if img.ndim != 2:
+            raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
+        return img
     raw = path.read_bytes()
     header = _P5_HEADER.match(raw)
     if header is None:

@@ -91,12 +91,13 @@ class FieldPlane:
     """A 2D complex field sampled on a uniform grid with physical pitch.
 
     The plane owns a read-only complex128 copy of the amplitude, so the
-    spectrum it caches cannot go stale.
+    spectra it caches cannot go stale.
     """
 
     amplitude: np.ndarray
     pitch: float
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _unshifted: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitude, dtype=np.complex128)
@@ -118,6 +119,17 @@ class FieldPlane:
             spec.flags.writeable = False
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
+
+    def unshifted_spectrum(self, workers: int = 1) -> np.ndarray:
+        """``fft2(ifftshift(amplitude), norm="ortho")``: the spectrum before
+        its outer ``fftshift``, in the order an unshifted inverse transform
+        reads. Cached and read-only like ``spectrum``, and formed from it
+        (the shifts are inverse permutations, so the bits are the same)."""
+        if self._unshifted is None:
+            spec = scipy.fft.ifftshift(self.spectrum(workers), axes=(-2, -1))
+            spec.flags.writeable = False
+            object.__setattr__(self, "_unshifted", spec)
+        return self._unshifted
 
     @property
     def height(self) -> int:
@@ -279,6 +291,20 @@ def _check_kernel(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return kernel
 
 
+def _ifftshift_stack(kernels: Sequence[np.ndarray]) -> np.ndarray:
+    """``ifftshift(np.stack(kernels), axes=(-2, -1))`` in one pass: each
+    kernel's quadrants are copied straight to their shifted places."""
+    h, w = kernels[0].shape
+    r, c = h - h // 2, w - w // 2  # ifftshift moves row h // 2 to row 0
+    out = np.empty((len(kernels), h, w))
+    for dst, kern in zip(out, kernels):
+        dst[:r, :c] = kern[h - r :, w - c :]
+        dst[:r, c:] = kern[h - r :, : w - c]
+        dst[r:, :c] = kern[: h - r, w - c :]
+        dst[r:, c:] = kern[: h - r, : w - c]
+    return out
+
+
 def forward_4f(
     input_plane: FieldPlane,
     kernel: np.ndarray,
@@ -375,12 +401,12 @@ def multi_kernel_forward(
             f"aperture declares {len(aperture.open_regions)} regions for {k} kernels"
         )
 
-    # icft2 of every filtered replica in one batched transform. Its outer
-    # fftshift is a permutation, so it is applied to the intensity instead.
-    filtered = input_plane.spectrum(workers) * np.stack(kernels)
-    fields = scipy.fft.ifft2(
-        scipy.fft.ifftshift(filtered, axes=(-2, -1)), norm="ortho", overwrite_x=True, workers=workers
-    )
+    # icft2 of every filtered replica in one batched transform. Its shifts
+    # are permutations: the inner one is taken by multiplying the unshifted
+    # spectrum by the kernels stacked in ifftshift order, the outer one is
+    # applied to the intensity.
+    filtered = input_plane.unshifted_spectrum(workers) * _ifftshift_stack(kernels)
+    fields = scipy.fft.ifft2(filtered, norm="ortho", overwrite_x=True, workers=workers)
 
     if aperture is not None:
         # Open region j passes only window j's bundle; parasitic paths are

@@ -7,6 +7,7 @@ import pytest
 from opticonv import datapipe
 from opticonv.optics import OpticalConfig
 
+import synthcifar
 import synthmnist
 
 DATA_DIR = Path(os.environ.get("OPTICONV_DATA_DIR", "/root/data"))
@@ -59,6 +60,13 @@ def synthetic_mnist_dir(tmp_path_factory) -> Path:
     """Seeded MNIST-format IDX files, for the code paths that read a
     ``paths.mnist`` directory and must run without the real dataset."""
     return synthmnist.write_idx(tmp_path_factory.mktemp("synthetic-mnist"), seed=0)
+
+
+@pytest.fixture(scope="session")
+def synthetic_cifar_dir(tmp_path_factory) -> Path:
+    """Seeded CIFAR-10 binary batches, for the code paths that read a
+    ``paths.cifar10`` directory and must run without the real dataset."""
+    return synthcifar.write_bins(tmp_path_factory.mktemp("synthetic-cifar"), seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,22 @@ as an explicit exponential-sum matrix product, the convolution oracle does an
 O(N^4) direct circular convolution, the max-pool oracle picks each block's
 entry by ``argmax``, and the energy-efficiency oracle is a second literal
 transcription of the printed formulas.
+
+The stage-1 oracles at the end pin bits, not mathematics: they are the
+straightforward forms that the blocked conv engine, the in-place optimizer
+and the centre-only high-pass mask replaced, with the same transforms in the
+same order, so the implementation must equal them bitwise.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import scipy.fft
+
+from opticonv import network
 
 
 def centered_dft_matrix(n: int, inverse: bool = False) -> np.ndarray:
@@ -99,3 +108,114 @@ def ops_per_watt_fft_oracle(M, N, m, n, i, k, f, P) -> float:
 
 def ops_per_watt_brute_oracle(M, N, m, n, i, k, f, P) -> float:
     return (M * N * m * n) * i * f * k / P
+
+
+# ---------------------------------------------------------------------------
+# stage-1 bit-pinning oracles
+
+
+def highpass_mask_oracle(grid: int, dtype=np.float64) -> np.ndarray:
+    """Full-grid high-pass mask: ones with the centre 3x3 bins zeroed."""
+    mask = np.ones((grid, grid), dtype=dtype)
+    c = grid // 2
+    mask[c - 1 : c + 2, c - 1 : c + 2] = 0
+    return mask
+
+
+def conv_window_oracle(
+    spectrum: np.ndarray, kernel_spec: np.ndarray, window: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conv forward in one shot over the batch: every input spectrum
+    (B, n_h, n_w) times every kernel spectrum (K, n_h, n_w), one inverse
+    transform, the crop to ``window`` and |U|^2. Returns the intensity and
+    the cropped fields, each (B, K, h, w)."""
+    h, w = window
+    fields = scipy.fft.ifft2(spectrum[:, None] * kernel_spec[None])[..., :h, :w]
+    return fields.real**2 + fields.imag**2, fields
+
+
+def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: str):
+    """One stage-1 loss, accuracy and gradient dict: the conv forward and the
+    backward's zero-padded transform each in one shot over the batch, and the
+    high-pass mask as a full-grid multiply."""
+    rdtype = np.float32 if dtype == "float32" else np.float64
+    g = params.grid
+    h, w = params.image_hw
+    bits = np.asarray(bits, dtype=rdtype)
+    sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), g) for s in (h, w))
+    bank = network.binarize_ste(params.fourier_kernels).astype(rdtype)
+    if params.highpass_mask_enabled:
+        bank = bank * highpass_mask_oracle(g, rdtype)
+    bank = scipy.fft.ifftshift(bank, axes=(-2, -1))
+    kernel_spec = network._resample_spectrum(bank, (h, w), sizes)
+    spectrum = scipy.fft.fft2(bits, s=sizes)
+    raw, fields = conv_window_oracle(spectrum, kernel_spec, (h, w))
+
+    feats, peak = network._normalize_features(raw)
+    b, k = feats.shape[:2]
+    pooled = network._maxpool2(feats)
+    loss, acc, grads, dpre1 = network._head_step(pooled.reshape(b, -1), labels, params)
+    dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
+    dfeats = network._maxpool2_backward(dpooled, feats, pooled)
+    draw = dfeats / peak[:, None, None, None]
+    dpeak = -(dfeats * feats).reshape(b, -1).sum(axis=1) / peak
+    draw_flat = draw.reshape(b, -1)
+    draw_flat[np.arange(b), raw.reshape(b, -1).argmax(axis=1)] += dpeak
+    draw = draw_flat.reshape(b, k, h, w).astype(raw.dtype, copy=False)
+
+    grad_spec = scipy.fft.fft2(2.0 * fields * draw, s=sizes)
+    corr = np.einsum("bij,bkij->kij", spectrum.conj(), grad_spec)
+    dbank = network._resample_spectrum(corr, (h, w), (g, g)).real.astype(np.float64) / g**2
+    dbank = scipy.fft.fftshift(dbank, axes=(-2, -1))
+    dmasters = network.binarize_ste_grad(params.fourier_kernels, dbank)
+    if params.highpass_mask_enabled:
+        dmasters = dmasters * highpass_mask_oracle(g)
+    grads["fourier_kernels"] = dmasters
+    for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
+        grads[name] = grads[name].astype(np.float64)
+    return loss, acc, grads
+
+
+def momentum_step_oracle(
+    params: dict, velocity: dict, grads: dict, lr: float, momentum: float
+) -> dict:
+    """Heavy-ball step out of place: the velocity is the gradient at the
+    first step and ``momentum * v + g`` after it; the new parameter is
+    ``p - lr * v``. Updates ``velocity`` and returns the new parameters."""
+    new = {}
+    for name, p in params.items():
+        g = grads[name]
+        velocity[name] = g if name not in velocity else momentum * velocity[name] + g
+        new[name] = p - lr * velocity[name]
+    return new
+
+
+def train_stage1_oracle(dataset, config, params):
+    """Stage-1 training as a loop of the oracle step, with the mask
+    re-applied to the masters by a full-grid multiply after each step."""
+    bits, labels = dataset
+    rng = np.random.default_rng(config.seed)
+    velocity: dict = {}
+    trace = []
+    for epoch in range(config.epochs_stage1):
+        order = rng.permutation(len(bits))
+        losses, accs = [], []
+        for s in range(0, len(bits), config.batch_size):
+            sel = order[s : s + config.batch_size]
+            loss, acc, grads = loss_and_grads_oracle(params, bits[sel], labels[sel], config.dtype)
+            current = {name: getattr(params, name) for name in network._PARAM_NAMES}
+            new = momentum_step_oracle(current, velocity, grads, config.lr_stage1, config.momentum)
+            if params.highpass_mask_enabled:
+                new["fourier_kernels"] = new["fourier_kernels"] * highpass_mask_oracle(params.grid)
+            params = replace(params, **new)
+            losses.append(loss)
+            accs.append(acc)
+        trace.append(
+            {
+                "epoch": epoch,
+                "split": "train",
+                "loss": float(np.mean(losses)),
+                "accuracy": float(np.mean(accs)),
+            }
+        )
+    return params, trace

@@ -15,7 +15,7 @@ DATA_DIR = Path(os.environ.get("OPTICONV_DATA_DIR", "/root/data"))
 
 
 @pytest.fixture
-def small_config(tmp_path, synthetic_mnist_dir):
+def small_config(tmp_path, synthetic_mnist_dir, synthetic_cifar_dir):
     doc = {
         "seed": 7,
         "train": {
@@ -32,7 +32,7 @@ def small_config(tmp_path, synthetic_mnist_dir):
         "noise": {"sigma": 0.05, "seed": 1},
         "paths": {
             "mnist": str(synthetic_mnist_dir),
-            "cifar10": str(DATA_DIR / "cifar-10-batches-bin"),
+            "cifar10": str(synthetic_cifar_dir),
             "quickdraw": str(DATA_DIR / "quickdraw"),
         },
     }
@@ -175,6 +175,17 @@ class TestFailureContract:
         assert_one_line_usage_error(code, capsys, "--windows")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3)], ids=["0-D", "1-D", "3-D"])
+    def test_simulate_image_must_be_2d(self, small_config, tmp_path, capsys, shape):
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones(shape, np.uint8))
+        out_dir = tmp_path / "runs"
+        code = run(["--config", small_config, "--out-dir", out_dir, "simulate", img_path])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "2-D" in err[0]
+        assert not out_dir.exists()
+
 
 class TestPerfCommand:
     def test_default_report(self, tmp_path):
@@ -210,8 +221,6 @@ class TestQuantizeCommand:
         assert len(list(run_dir.glob("img*.p4"))) == 5
 
     def test_cifar_level_mode(self, small_config, tmp_path):
-        if not (DATA_DIR / "cifar-10-batches-bin").exists():
-            pytest.skip("CIFAR-10 not provisioned")
         code = run(["--config", small_config, "--out-dir", tmp_path / "runs",
                     "quantize", "--dataset", "cifar10", "--levels", 4, "--limit", 3])
         assert code == 0
@@ -258,8 +267,6 @@ class TestTrainEvalPipeline:
         assert ck_a.read_bytes() == ck_b.read_bytes()
 
     def test_geometry_mismatch_is_data_error(self, small_config, tmp_path):
-        if not (DATA_DIR / "cifar-10-batches-bin").exists():
-            pytest.skip("CIFAR-10 not provisioned")
         out_dir = tmp_path / "runs"
         assert run(["--config", small_config, "--out-dir", out_dir,
                     "train", "--dataset", "mnist"]) == 0

@@ -25,6 +25,7 @@ from opticonv.datapipe import (
 )
 from opticonv.optics import OpticalConfig
 
+import synthcifar
 import synthmnist
 
 
@@ -293,6 +294,17 @@ class TestLoaders:
         f.write_bytes(b"\x00" * 100)
         with pytest.raises(DataFormatError, match="record"):
             datapipe._read_cifar_batch(f)
+
+    def test_cifar_round_trip(self, tmp_path):
+        written = synthcifar.make_batches(seed=3)
+        ds = load_cifar10(synthcifar.write_bins(tmp_path, seed=3))
+        train = [written[f"data_batch_{i}.bin"] for i in range(1, 6)]
+        assert np.array_equal(ds.train_images, np.concatenate([x for x, _ in train]))
+        assert np.array_equal(ds.train_labels, np.concatenate([y for _, y in train]))
+        assert np.array_equal(ds.test_images, written["test_batch.bin"][0])
+        assert np.array_equal(ds.test_labels, written["test_batch.bin"][1])
+        assert ds.train_images.shape[1:] == (32, 32, 3) and ds.n_classes == 10
+        assert ds.train_labels.dtype == np.int64
 
     def test_cifar_label_out_of_range(self, tmp_path):
         f = tmp_path / "data_batch_1.bin"

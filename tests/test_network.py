@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,15 @@ from opticonv.network import (
 )
 from opticonv.optics import NoiseSpec, OpticalConfig
 
-from oracles import conv_4f_oracle, maxpool2_backward_oracle, maxpool2_oracle
+from oracles import (
+    conv_4f_oracle,
+    conv_window_oracle,
+    highpass_mask_oracle,
+    maxpool2_backward_oracle,
+    maxpool2_oracle,
+    momentum_step_oracle,
+    train_stage1_oracle,
+)
 
 
 def toy_params(seed=0, grid=16, hw=(8, 8), k=2, classes=3, hidden=8, mask=False):
@@ -42,6 +51,11 @@ def toy_params(seed=0, grid=16, hw=(8, 8), k=2, classes=3, hidden=8, mask=False)
 def toy_batch(seed, n=6, hw=(8, 8), classes=3):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, (n, *hw)).astype(np.uint8), rng.integers(0, classes, n)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBinarizeSte:
@@ -86,6 +100,13 @@ class TestKernelBank:
         b = binarized_kernels(params)
         c = 16 // 2
         assert not b[:, c - 1 : c + 2, c - 1 : c + 2].any()
+
+    def test_masked_masters_equal_a_full_grid_multiply_bitwise(self):
+        # masking keeps the sign of a zeroed master (-0.5 * 0.0 == -0.0),
+        # as a multiply by the full-grid mask does
+        params = init_params(seed=5, n_kernels=4, grid=16, image_hw=(8, 8))
+        drawn = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4, 16, 16))
+        assert_same_bits(params.fourier_kernels, drawn * highpass_mask_oracle(16))
 
 
 class TestConvForward:
@@ -150,7 +171,7 @@ class TestWindowedEngine:
         bits = np.random.default_rng(seed).integers(0, 2, (2, h, w)).astype(np.uint8)
         # intensities before the per-frame gain, which would blow rounding
         # noise up to unit scale on frames whose true output is zero
-        fields, _ = network._conv_digital(bits, params, dtype="float64")
+        _, fields, _ = network._conv_digital(bits, params, dtype="float64")
         r0, c0 = (g - h) // 2, (g - w) // 2
         for img, got in zip(bits, np.abs(fields) ** 2):
             frame = np.zeros((g, g))
@@ -188,7 +209,9 @@ class TestWindowedEngine:
             assert abs(grads["fourier_kernels"][idx] - fd) / max(abs(fd), 1e-6) < 1e-4
 
     def test_forward_memory_stays_windowed(self):
-        # full-grid (B, K, G, G) intermediates would need gigabytes here
+        # full-grid (B, K, G, G) intermediates would need gigabytes here, and
+        # one (B, K, 55, 55) product over the whole batch took 131 MB; the
+        # blocked engine holds one block of it
         params = init_params(seed=0, n_kernels=16, grid=256, image_hw=(28, 28))
         bits = np.random.default_rng(0).integers(0, 2, (256, 28, 28)).astype(np.uint8)
         tracemalloc.start()
@@ -197,11 +220,63 @@ class TestWindowedEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 400e6
+        assert peak < 80e6
 
     def test_window_larger_than_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             toy_params(grid=8, hw=(10, 8))
+
+
+class TestBlockedEngine:
+    """The engine walks the batch in blocks of images; at every block
+    boundary it equals the one-shot forms it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_forward_matches_one_shot_oracle_bitwise(self, dtype, k):
+        rdtype = np.float32 if dtype == "float32" else np.float64
+        params = init_params(seed=k, n_kernels=k, grid=64, image_hw=(28, 28))
+        sizes = (55, 55)  # next_fast_len(2 * 28 - 1) on the 64-px grid
+        bank = scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1))
+        kernel_spec = network._resample_spectrum(bank, (28, 28), sizes)
+        step = network._block_images(k * 55 * 55 * 2 * np.dtype(rdtype).itemsize)
+        rng = np.random.default_rng(k)
+        for b in sorted({1, max(step - 1, 1), step, step + 1, 2 * step + 1}):
+            bits = rng.integers(0, 2, (b, 28, 28)).astype(np.uint8)
+            intensity, fields, spectrum = network._conv_digital(bits, params, dtype=dtype)
+            assert_same_bits(spectrum, scipy.fft.fft2(bits.astype(rdtype), s=sizes))
+            want_intensity, want_fields = conv_window_oracle(spectrum, kernel_spec, (28, 28))
+            assert_same_bits(intensity, want_intensity)
+            assert_same_bits(fields, want_fields)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_matches_oracle_loop_bitwise(self, dtype):
+        # 37 images in batches of 8 leave a batch of 5; at K=16 on the 64-px
+        # grid a block holds 5 float32 or 2 float64 images, so blocks split
+        # the batches. The mask is on, so its centre-only form is covered.
+        params = init_params(seed=3, n_kernels=16, grid=64, image_hw=(28, 28), hidden=32)
+        bits, labels = toy_batch(3, n=37, hw=(28, 28), classes=10)
+        cfg = TrainConfig(epochs_stage1=3, batch_size=8, lr_stage1=0.2, seed=4, grid=64, dtype=dtype)
+        got, got_trace = train_stage1((bits, labels), cfg, params=params)
+        want, want_trace = train_stage1_oracle((bits, labels), cfg, params)
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    def test_momentum_matches_out_of_place_oracle_and_writes_no_input(self):
+        params = toy_params(seed=4, mask=True)
+        rng = np.random.default_rng(4)
+        opt = network._Momentum(network._PARAM_NAMES)
+        velocity: dict = {}
+        for _ in range(3):
+            grads = {n: rng.standard_normal(getattr(params, n).shape) for n in network._PARAM_NAMES}
+            for arr in (*grads.values(), *(getattr(params, n) for n in network._PARAM_NAMES)):
+                arr.flags.writeable = False
+            current = {n: getattr(params, n) for n in network._PARAM_NAMES}
+            want = momentum_step_oracle(current, velocity, grads, 0.05, 0.9)
+            params = opt.step(params, grads, 0.05, 0.9)
+            for name in network._PARAM_NAMES:
+                assert_same_bits(getattr(params, name), want[name])
 
 
 class TestHead:

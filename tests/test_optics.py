@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from opticonv import optics
 from opticonv.optics import (
@@ -288,6 +289,22 @@ class TestMultiKernel:
         assert calls == [(32, 32)]
         for workers in (1, 2):
             assert np.array_equal(plane.spectrum(), real_cft2(plane.amplitude, workers=workers))
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_unshifted_spectrum_on_odd_and_even_grids(self, paper_config, n):
+        # the kernels are stacked in ifftshift order, which differs from
+        # fftshift order only on odd sides
+        rng = np.random.default_rng(n)
+        plane = random_plane(rng, n)
+        want = scipy.fft.fft2(scipy.fft.ifftshift(plane.amplitude), norm="ortho")
+        assert np.array_equal(plane.unshifted_spectrum(), want)
+        with pytest.raises(ValueError):
+            plane.unshifted_spectrum()[0, 0] = 1.0
+        kernels = list(rng.integers(0, 2, (2, n, n)).astype(float))
+        aperture = ideal_aperture([0, 1], (n, n), paper_config)
+        maps = multi_kernel_forward(plane, kernels, paper_config, aperture)
+        for m, kern in zip(maps, kernels, strict=True):
+            assert np.array_equal(m, forward_4f(plane, kern, paper_config))
 
     def test_no_aperture_has_cross_terms(self, paper_config):
         rng = np.random.default_rng(9)
