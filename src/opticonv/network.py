@@ -18,6 +18,7 @@ adjoint of the impulse-response transform.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -185,12 +186,16 @@ def init_params(
 # binarization with straight-through estimator
 
 
+def _binarize(w: np.ndarray, dtype) -> np.ndarray:
+    if not np.all(np.isfinite(w)):
+        raise ValueError("kernel masters must be finite")
+    return (w > 0).astype(dtype)
+
+
 def binarize_ste(w: np.ndarray) -> np.ndarray:
     """Forward binarization: w > 0 -> 1, w <= 0 -> 0 (mirrors cannot be -1)."""
     w = np.asarray(w)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("kernel masters must be finite")
-    return (w > 0).astype(w.dtype if w.dtype.kind == "f" else np.float64)
+    return _binarize(w, w.dtype if w.dtype.kind == "f" else np.float64)
 
 
 def binarize_ste_grad(w: np.ndarray, upstream: np.ndarray, clip: float = STE_CLIP) -> np.ndarray:
@@ -212,7 +217,7 @@ def _highpass_mask(grid: int, dtype=np.float64) -> np.ndarray:
 
 def binarized_kernels(params: ModelParams, dtype=np.float64) -> np.ndarray:
     """The hardware view of the kernel bank: binary, center-masked if enabled."""
-    b = binarize_ste(params.fourier_kernels).astype(dtype)
+    b = _binarize(params.fourier_kernels, dtype)
     return _mask_centre(b) if params.highpass_mask_enabled else b
 
 
@@ -234,38 +239,66 @@ def _apply_mask_to_masters(params: ModelParams) -> ModelParams:
 # embedding and the output crop). Those lags fit without aliasing on a small
 # grid of n >= 2h-1 per axis, so the batch is transformed at n = min(
 # next_fast_len(2h-1), G) instead of G. The kernel's spectrum on the small
-# grid is resampled from B_k one axis at a time; an axis already at G keeps
-# B_k's exact bins. Cross-checked against the optics-module path and the
-# direct-convolution oracle by the equivalence tests.
+# grid is resampled from B_k one axis at a time by a dense lag operator; an
+# axis already at G keeps B_k's exact bins. The backward maps the gradient at
+# each lag back to the G bins with the same operators. Cross-checked against
+# the optics-module path, the direct-convolution oracle and the FFT form of
+# the resample by the equivalence tests.
 
 
-def _resample_spectrum(
-    spec: np.ndarray, window: tuple[int, int], sizes: tuple[int, int], workers: int = 1
-) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _lag_operator(n: int, h: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (size, n) matrix from an unshifted length-n spectrum to the
+    length-size spectrum of its lags [-(h-1), h-1]:
+    M[f', f] = (1/n) sum_d exp(-2 pi i f' d / size) exp(+2 pi i f d / n).
+    The lags are symmetric, so the sum is a Dirichlet kernel and M is real.
+    Built in float64 with the phases reduced exactly, then cast."""
+    d = np.arange(-(h - 1), h)
+    to_lags = np.exp(2j * np.pi * (np.outer(d, np.arange(n)) % n) / n) / n
+    from_lags = np.exp(-2j * np.pi * (np.outer(np.arange(size), d) % size) / size)
+    op = (from_lags @ to_lags).real.astype(dtype)
+    op.flags.writeable = False
+    return op
+
+
+@functools.lru_cache(maxsize=16)
+def _gradient_operator(n: int, h: int, g: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (g, n) map of one axis of the kernel-gradient adjoint: the
+    lag operator to the G grid (the identity when n == g, whose bins are
+    kept) with fftshift and a factor 1/g folded into its rows."""
+    m = np.eye(g) if n == g else _lag_operator(n, h, g, np.dtype(np.float64))
+    op = (np.roll(m, g // 2, axis=0) / g).astype(dtype)
+    op.flags.writeable = False
+    return op
+
+
+def _resample_spectrum(spec: np.ndarray, window: tuple[int, int], sizes: tuple[int, int]) -> np.ndarray:
     """Spectrum on a grid of ``sizes`` of the window lags [-(h-1), h-1] of
     ``spec`` (unshifted spectra on the last two axes), zero at other lags.
 
-    Only axes whose length changes are transformed; both lengths of such an
-    axis are at least 2h-1, so the lags do not overlap on either.
-    """
-    for axis, h, size in zip((-2, -1), window, sizes):
-        n = spec.shape[axis]
-        if n == size:
-            continue
-        if np.isrealobj(spec):
-            # Real input (the bank's first axis): half the transform suffices,
-            # as lag d is conj(rfft[d]) / n and lag -d is its conjugate.
-            half = scipy.fft.rfft(spec, axis=axis, norm="forward", workers=workers)
-            half = np.moveaxis(half, axis, -1)
-            pos, neg = half[..., :h].conj(), half[..., h - 1 : 0 : -1]
-        else:
-            lags = np.moveaxis(scipy.fft.ifft(spec, axis=axis, workers=workers), axis, -1)
-            pos, neg = lags[..., :h], lags[..., n - h + 1 :]
-        moved = np.zeros((*pos.shape[:-1], size), dtype=pos.dtype)
-        moved[..., :h] = pos
-        moved[..., size - h + 1 :] = neg
-        spec = np.moveaxis(scipy.fft.fft(moved, workers=workers), -1, axis)
+    Only axes whose length changes are mapped, the last axis first; both
+    lengths of such an axis are at least 2h-1, so the lags do not overlap on
+    either. The operators are real: a real bank has a real resample."""
+    dtype = np.finfo(spec.dtype).dtype
+    (h, w), (n_h, n_w) = window, spec.shape[-2:]
+    if n_w != sizes[1]:
+        spec = spec @ _lag_operator(n_w, w, sizes[1], dtype).T
+    if n_h != sizes[0]:
+        spec = _lag_operator(n_h, h, sizes[0], dtype) @ spec
     return spec
+
+
+def _kernel_gradient(corr: np.ndarray, window: tuple[int, int], g: int) -> np.ndarray:
+    """Float64 gradient (K, G, G) at the centered kernel bins of the loss
+    whose gradient at each impulse-response lag has the small-grid spectrum
+    ``corr`` (K, n_h, n_w): fftshift(Re(resample of corr to G x G)) / G^2,
+    the adjoint of p = ifft2(B). The operators are real, so only Re(corr)
+    enters, and the shift and 1/G^2 are folded into them: two real GEMMs."""
+    n_h, n_w = corr.shape[-2:]
+    dtype = np.finfo(corr.dtype).dtype
+    rows = np.ascontiguousarray(corr.real) @ _gradient_operator(n_w, window[1], g, dtype).T
+    grad = _gradient_operator(n_h, window[0], g, dtype) @ rows
+    return grad.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +325,20 @@ def _conv_digital(
     dtype: str = "float64",
     workers: int = 1,
     bank_override: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    keep_fields: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Intensity |U|^2 and complex field U of every kernel's output window
     (B, K, h, w), and the batch spectrum on the small grid that the backward
-    pass correlates against.
+    pass correlates against. Without ``keep_fields`` the fields are not
+    written and None stands in their place.
 
     The batch runs in blocks of images whose K spectra fit ``_BLOCK_BYTES``:
     each block is multiplied, inverted in place, cropped and squared while it
-    is in cache. pocketfft gives the same bits for any split of the batch."""
+    is in cache. pocketfft gives the same bits for any split of the batch.
+    The inverse is ifft2 cropped to the window, with the row pass run only on
+    the h rows kept: the column pass unnormalized, then 1/(n_h n_w) on the
+    kept rows' real and imaginary parts, as ifft2 scales after its first
+    pass. That order gives ifft2's bits."""
     # bank_override substitutes the binarized bank (centered coordinates);
     # the finite-difference harness perturbs the STE surrogate through it.
     rdtype = np.float32 if dtype == "float32" else np.float64
@@ -312,18 +351,23 @@ def _conv_digital(
     sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), params.grid) for s in (h, w))
     bank = binarized_kernels(params, rdtype) if bank_override is None else bank_override
     bank = scipy.fft.ifftshift(np.asarray(bank, dtype=rdtype), axes=(-2, -1))
-    kernel_spec = _resample_spectrum(bank, (h, w), sizes, workers)
+    kernel_spec = _resample_spectrum(bank, (h, w), sizes)
     spectrum = scipy.fft.fft2(bits, s=sizes, workers=workers)
     b, k = len(bits), len(kernel_spec)
+    scale = 1 / (sizes[0] * sizes[1])
     step = _block_images(k * spectrum[0].nbytes)
     block = np.empty((min(step, b), k, *sizes), dtype=spectrum.dtype)
-    fields = np.empty((b, k, h, w), dtype=spectrum.dtype)
+    fields = np.empty((b, k, h, w), dtype=spectrum.dtype) if keep_fields else None
     intensity = np.empty((b, k, h, w), dtype=rdtype)
     for s in range(0, b, step):
         e = min(s + step, b)
         filtered = np.multiply(spectrum[s:e, None], kernel_spec, out=block[: e - s])
-        window = scipy.fft.ifft2(filtered, overwrite_x=True, workers=workers)[..., :h, :w]
-        fields[s:e] = window
+        cols = scipy.fft.ifft(filtered, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+        rows = cols[..., :h, :]
+        rows.view(rdtype)[...] *= scale
+        window = scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True, workers=workers)[..., :w]
+        if keep_fields:
+            fields[s:e] = window
         np.square(window.real, out=intensity[s:e])
         intensity[s:e] += np.square(window.imag)
     return intensity, fields, spectrum
@@ -404,7 +448,7 @@ def conv_fourier_forward(
     Outputs are gain-normalized per frame.
     """
     if mode == "digital":
-        intensity, _, _ = _conv_digital(bits, params, dtype=dtype, workers=workers)
+        intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
         feats, _ = _normalize_features(intensity)
         return feats
     if mode == "optical":
@@ -514,28 +558,30 @@ def _loss_and_grads(
 
     # |U|^2 gives dL/dU = 2 U dI on the window. Its cross-correlation with
     # the input, summed over the batch in frequency space, is the gradient at
-    # each impulse-response lag; scattered to the G-grid lags, the adjoint of
-    # p = ifft2(B) gives dB = Re fft2(.) / G^2.
-    # The window of each block of images is zero-padded to the small grid and
-    # transformed in place; the one einsum then sums over the whole batch.
-    grad_spec = np.zeros((b, k, *spectrum.shape[-2:]), dtype=fields.dtype)
-    step = _block_images(grad_spec[0].nbytes)
+    # each impulse-response lag, which _kernel_gradient maps to the bins.
+    # Each block's window is transformed as fft2(., s=n) in two 1-D passes,
+    # axis -2 first (which gives fft2's bits) and only over the w columns
+    # that are not zero; each image's spectrum times conj(input spectrum) is
+    # added in batch order to one accumulator.
+    n_h, n_w = spectrum.shape[-2:]
+    corr = np.zeros((k, n_h, n_w), dtype=fields.dtype)
+    step = _block_images(corr.nbytes)
     for s in range(0, b, step):
-        block = grad_spec[s : s + step]
-        np.multiply(2.0 * fields[s : s + step], draw[s : s + step], out=block[..., :h, :w])
-        out = scipy.fft.fft2(block, overwrite_x=True, workers=workers)
-        if not np.may_share_memory(out, block):  # scipy transformed out of place
-            block[...] = out
-    corr = np.einsum("bij,bkij->kij", spectrum.conj(), grad_spec)
-    g = params.grid
-    dbank = _resample_spectrum(corr, (h, w), (g, g), workers).real.astype(np.float64) / g**2
-    dbank = scipy.fft.fftshift(dbank, axes=(-2, -1))  # back to centered coords
-    dmasters = binarize_ste_grad(params.fourier_kernels, dbank)
+        e = min(s + step, b)
+        window = 2.0 * fields[s:e]
+        window *= draw[s:e]
+        cols = scipy.fft.fft(window, n=n_h, axis=-2, overwrite_x=True, workers=workers)
+        spec = scipy.fft.fft(cols, n=n_w, axis=-1, overwrite_x=True, workers=workers)
+        spec *= spectrum[s:e, None].conj()
+        for one in spec:
+            corr += one
+    dbank = _kernel_gradient(corr, (h, w), params.grid)
+    dbank *= np.abs(params.fourier_kernels) <= STE_CLIP  # binarize_ste_grad, in place
     if params.highpass_mask_enabled:
-        _mask_centre(dmasters)
-    grads["fourier_kernels"] = dmasters
+        _mask_centre(dbank)
+    grads["fourier_kernels"] = dbank
     for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
-        grads[name] = grads[name].astype(np.float64)
+        grads[name] = grads[name].astype(np.float64, copy=False)
     return loss, acc, grads
 
 
@@ -804,7 +850,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, stage: int, seed: int
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for _, t in tensors:
-            f.write(t.tobytes())
+            f.write(memoryview(t))
     return path
 
 
@@ -819,12 +865,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             raise DataFormatError(f"{path} is not a model checkpoint")
         arrays = {}
         for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
+            arr = np.empty(tuple(spec["shape"]), dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:
                 raise DataFormatError(f"{path}: truncated tensor {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arrays[spec["name"]] = arr
     params = ModelParams(
         fourier_kernels=arrays["fourier_kernels"],
         fc1_w=arrays["fc1_w"],

@@ -8,9 +8,12 @@ entry by ``argmax``, and the energy-efficiency oracle is a second literal
 transcription of the printed formulas.
 
 The stage-1 oracles at the end pin bits, not mathematics: they are the
-straightforward forms that the blocked conv engine, the in-place optimizer
-and the centre-only high-pass mask replaced, with the same transforms in the
-same order, so the implementation must equal them bitwise.
+straightforward forms that the blocked conv engine, the pruned small-grid
+transforms, the in-place optimizer and the centre-only high-pass mask
+replaced, with the same transforms in the same order, so the implementation
+must equal them bitwise. They delegate the kernel resample and its adjoint
+to the implementation; ``resample_spectrum_oracle``, the FFT form those
+dense operators replaced, checks both to rounding.
 """
 
 from __future__ import annotations
@@ -122,6 +125,24 @@ def highpass_mask_oracle(grid: int, dtype=np.float64) -> np.ndarray:
     return mask
 
 
+def resample_spectrum_oracle(
+    spec: np.ndarray, window: tuple[int, int], sizes: tuple[int, int]
+) -> np.ndarray:
+    """The window-lag resample by transforms: each axis whose length changes
+    goes to its lags by an inverse FFT, keeps lags [-(h-1), h-1] on a zeroed
+    grid of the new length and comes back by a forward FFT."""
+    for axis, h, size in zip((-2, -1), window, sizes):
+        n = spec.shape[axis]
+        if n == size:
+            continue
+        lags = np.moveaxis(scipy.fft.ifft(spec, axis=axis), axis, -1)
+        moved = np.zeros((*lags.shape[:-1], size), dtype=lags.dtype)
+        moved[..., :h] = lags[..., :h]
+        moved[..., size - h + 1 :] = lags[..., n - h + 1 :]
+        spec = np.moveaxis(scipy.fft.fft(moved), -1, axis)
+    return spec
+
+
 def conv_window_oracle(
     spectrum: np.ndarray, kernel_spec: np.ndarray, window: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +185,10 @@ def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: s
     draw = draw_flat.reshape(b, k, h, w).astype(raw.dtype, copy=False)
 
     grad_spec = scipy.fft.fft2(2.0 * fields * draw, s=sizes)
-    corr = np.einsum("bij,bkij->kij", spectrum.conj(), grad_spec)
-    dbank = network._resample_spectrum(corr, (h, w), (g, g)).real.astype(np.float64) / g**2
-    dbank = scipy.fft.fftshift(dbank, axes=(-2, -1))
+    corr = np.zeros((k, *sizes), dtype=grad_spec.dtype)
+    for one, spec in zip(grad_spec, spectrum):
+        corr += one * spec.conj()
+    dbank = network._kernel_gradient(corr, (h, w), g)
     dmasters = network.binarize_ste_grad(params.fourier_kernels, dbank)
     if params.highpass_mask_enabled:
         dmasters = dmasters * highpass_mask_oracle(g)

@@ -27,6 +27,7 @@ from opticonv.optics import OpticalConfig
 
 import synthcifar
 import synthmnist
+import synthquickdraw
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,33 @@ class TestLoaders:
         f.write_bytes(rec)
         with pytest.raises(DataFormatError, match="label"):
             datapipe._read_cifar_batch(f)
+
+    # per-class test counts in sorted class order (apple, cat, house, moon,
+    # zigzag hold 5, 6, 8, 9, 7 images); 0.5 rounds 2.5 and 4.5 to even
+    @pytest.mark.parametrize("test_fraction, n_test", [(0.2, [1, 1, 2, 2, 1]), (0.5, [2, 3, 4, 4, 4])])
+    def test_quickdraw_round_trip(self, tmp_path, test_fraction, n_test):
+        written = synthquickdraw.write_npy(tmp_path, seed=4)
+        ds = load_quickdraw(tmp_path, test_fraction=test_fraction)
+        names = sorted(written)
+        assert ds.class_names == tuple(names)
+        train_x, train_y, test_x, test_y = [], [], [], []
+        for label, name in enumerate(names):
+            images = written[name]
+            split = len(images) - n_test[label]
+            train_x.append(images[:split])
+            test_x.append(images[split:])
+            train_y += [label] * split
+            test_y += [label] * (len(images) - split)
+        assert np.array_equal(ds.train_images, np.concatenate(train_x))
+        assert np.array_equal(ds.test_images, np.concatenate(test_x))
+        assert ds.train_labels.tolist() == train_y and ds.test_labels.tolist() == test_y
+        assert ds.train_images.dtype == np.uint8 and ds.train_labels.dtype == np.int64
+        assert ds.n_classes == len(synthquickdraw.CLASSES)
+
+    def test_synthetic_quickdraw_has_both_layouts(self, tmp_path):
+        synthquickdraw.write_npy(tmp_path, seed=4)
+        ndims = {np.load(f).ndim for f in tmp_path.glob("*.npy")}
+        assert ndims == {2, 3}
 
     def test_quickdraw_bad_shape(self, tmp_path):
         np.save(tmp_path / "cat.npy", np.zeros((5, 100), np.uint8))
