@@ -61,6 +61,15 @@ class TrainSection:
     limit: int | None = None  # cap on training images, None = full split
     capture_n: int = 2000  # stage-2 capture set size
 
+    def __post_init__(self) -> None:
+        for name in ("n_kernels", "hidden", "grid", "capture_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"train.limit must be null or >= 1, got {self.limit}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"train.dtype must be 'float32' or 'float64', got {self.dtype!r}")
+
 
 @dataclass(frozen=True)
 class NoiseSection:
@@ -111,6 +120,27 @@ _SECTION_TYPES = {
 }
 
 
+# JSON value types accepted for each annotated field type; bool is an int
+# subclass in Python, so it is told apart explicitly.
+_JSON_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "tuple[str, ...]": (list,),
+}
+
+
+def _check_type(value, type_name: str, where: str) -> None:
+    allowed = _JSON_TYPES[type_name]
+    ok = isinstance(value, allowed) and (bool in allowed) == isinstance(value, bool)
+    if type_name == "tuple[str, ...]":
+        ok = ok and all(isinstance(v, str) for v in value)
+    if not ok:
+        raise UsageError(f"config key {where} must be {type_name}, got {json.dumps(value)}")
+
+
 def _build_section(cls, doc: dict, where: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(doc) - allowed
@@ -118,8 +148,10 @@ def _build_section(cls, doc: dict, where: str):
         raise UsageError(f"unknown config key(s) {sorted(unknown)} in section {where!r}")
     coerced = dict(doc)
     for f in fields(cls):
-        if f.name in coerced and f.type in ("tuple[str, ...]",):
-            coerced[f.name] = tuple(coerced[f.name])
+        if f.name in coerced:
+            _check_type(coerced[f.name], f.type, f"{where}.{f.name}")
+            if f.type == "tuple[str, ...]":
+                coerced[f.name] = tuple(coerced[f.name])
     return cls(**coerced)
 
 
@@ -136,7 +168,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     kwargs = {}
     for key, value in doc.items():
         if key == "seed":
-            kwargs["seed"] = int(value)
+            _check_type(value, "int", "seed")
+            kwargs["seed"] = value
         else:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {key!r} must be an object")
@@ -454,6 +487,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _limit(text: str) -> int:
+    """``--limit`` value: a count of images, 0 for all of them."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all images), got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="opticonv", description=__doc__)
     p.add_argument("--config", help="JSON config document")
@@ -467,7 +511,7 @@ def build_parser() -> _Parser:
     q.add_argument("--split", default="test", choices=("train", "test"))
     q.add_argument("--levels", type=int, default=None,
                    help="threshold-ladder levels; omit for grayscale threshold mode")
-    q.add_argument("--limit", type=int, default=100, help="max images to export")
+    q.add_argument("--limit", type=_limit, default=100, help="max images to export, 0 = all")
     q.set_defaults(fn=cmd_quantize)
 
     t = sub.add_parser("train", help="stage-1 noise-free training")
@@ -485,7 +529,7 @@ def build_parser() -> _Parser:
     e.add_argument("checkpoint")
     e.add_argument("--dataset", required=True, choices=("mnist", "cifar10", "quickdraw"))
     e.add_argument("--mode", default="digital", choices=("digital", "optical"))
-    e.add_argument("--limit", type=int, default=0)
+    e.add_argument("--limit", type=_limit, default=0, help="max test images, 0 = all")
     e.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("simulate", help="single-frame end-to-end optical dump")

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 import scipy.fft
 
-from .datapipe import DataFormatError, TileLayout, tile, untile
+from .datapipe import DataFormatError, TileLayout, tile
 from .optics import (
     FieldPlane,
     NoiseSpec,
@@ -35,6 +35,7 @@ from .optics import (
     camera_capture,
     ideal_aperture,
     multi_kernel_forward,
+    order_offset_px,
 )
 
 __all__ = [
@@ -65,11 +66,15 @@ STE_CLIP = 1.0
 
 _NORM_EPS = 1e-30
 
-# Bytes of one block of images that the conv engine multiplies, transforms
-# and squares together: a common per-core L2 size. On a 2-core Xeon with
-# 2 MiB of L2 per core, blocks of 1-4 MiB timed alike and the whole batch
-# at once was ~1.4x slower.
-_BLOCK_BYTES = 2 << 20
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+# Bytes of one block of spectra that the conv engine multiplies, transforms
+# and squares together: half a common per-core L2, so that a block and the
+# buffers its passes write stay in cache. On a 2-core Xeon with 2 MiB of L2
+# per core, 1 MiB blocks made the tiled G=256 frame (one complex128
+# spectrum per block) ~8% faster than 2 MiB blocks and timed the stage-1
+# step alike; the whole batch at once was ~1.4x slower.
+_BLOCK_BYTES = 1 << 20
 
 
 class TrainingDivergedError(RuntimeError):
@@ -142,6 +147,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        _real_dtype(self.dtype)
 
 
 @dataclass(frozen=True)
@@ -310,13 +316,70 @@ def _block_images(image_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // image_bytes)
 
 
+def _real_dtype(dtype: str) -> type:
+    if dtype not in _DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    return _DTYPES[dtype]
+
+
 def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-frame gain normalization to unit max: squared-magnitude outputs vary
-    # over orders of magnitude and the head retraining absorbs static gain.
+    # Per-frame gain normalization to unit max, in place: squared-magnitude
+    # outputs vary over orders of magnitude and the head retraining absorbs
+    # static gain.
     b = raw.shape[0]
     peak = raw.reshape(b, -1).max(axis=1)
     peak = np.maximum(peak, _NORM_EPS)
-    return raw / peak[:, None, None, None], peak
+    raw /= peak[:, None, None, None]
+    return raw, peak
+
+
+def _inverse_windows(
+    spectrum: np.ndarray,
+    kernel_spec: np.ndarray,
+    rows: slice | np.ndarray,
+    cols: slice | np.ndarray,
+    rdtype: type,
+    workers: int = 1,
+    keep_fields: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Intensity |U|^2 and field U (B, K, R, C) of every input spectrum
+    (B, n, m) times every kernel spectrum (K, n, m), inverted and read at
+    output ``rows`` and ``cols`` (slices or index arrays). Without
+    ``keep_fields`` the fields are not written and None stands in their
+    place.
+
+    The work runs in blocks whose spectra fit ``_BLOCK_BYTES``: blocks of
+    images, or of kernels of one image when its K spectra do not fit. Each
+    block is multiplied, inverted in place, read out and squared while it is
+    in cache; pocketfft gives the same bits for any split. The inverse is
+    ifft2 with the row pass run only on the rows read: the column pass
+    unnormalized, then 1/(n m) on the kept rows' real and imaginary parts,
+    as ifft2 scales after its first pass. That order gives ifft2's bits."""
+    (b, n, m), k = spectrum.shape, len(kernel_spec)
+    n_rows, n_cols = np.arange(n)[rows].size, np.arange(m)[cols].size
+    scale = 1 / (n * m)
+    k_step = min(k, max(1, _BLOCK_BYTES // spectrum[0].nbytes))
+    b_step = _block_images(k * spectrum[0].nbytes)  # 1 when K spectra exceed a block
+    block = np.empty((min(b_step, b), k_step, n, m), dtype=spectrum.dtype)
+    fields = np.empty((b, k, n_rows, n_cols), dtype=spectrum.dtype) if keep_fields else None
+    intensity = np.empty((b, k, n_rows, n_cols), dtype=rdtype)
+    for s in range(0, b, b_step):
+        e = min(s + b_step, b)
+        for k0 in range(0, k, k_step):
+            k1 = min(k0 + k_step, k)
+            out = np.s_[s:e, k0:k1]
+            filtered = np.multiply(spectrum[s:e, None], kernel_spec[k0:k1], out=block[: e - s, : k1 - k0])
+            by_col = scipy.fft.ifft(filtered, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+            kept = by_col[..., rows, :]
+            kept.view(rdtype)[...] *= scale
+            window = scipy.fft.ifft(kept, axis=-1, norm="forward", overwrite_x=True, workers=workers)
+            # np.take keeps the gathered copy C-ordered; a slice stays a view
+            window = window[..., cols] if isinstance(cols, slice) else np.take(window, cols, axis=-1)
+            if keep_fields:
+                fields[out] = window
+            np.square(window.real, out=intensity[out])
+            intensity[out] += np.square(window.imag)
+    return intensity, fields
 
 
 def _conv_digital(
@@ -330,18 +393,10 @@ def _conv_digital(
     """Intensity |U|^2 and complex field U of every kernel's output window
     (B, K, h, w), and the batch spectrum on the small grid that the backward
     pass correlates against. Without ``keep_fields`` the fields are not
-    written and None stands in their place.
-
-    The batch runs in blocks of images whose K spectra fit ``_BLOCK_BYTES``:
-    each block is multiplied, inverted in place, cropped and squared while it
-    is in cache. pocketfft gives the same bits for any split of the batch.
-    The inverse is ifft2 cropped to the window, with the row pass run only on
-    the h rows kept: the column pass unnormalized, then 1/(n_h n_w) on the
-    kept rows' real and imaginary parts, as ifft2 scales after its first
-    pass. That order gives ifft2's bits."""
+    written and None stands in their place."""
     # bank_override substitutes the binarized bank (centered coordinates);
     # the finite-difference harness perturbs the STE surrogate through it.
-    rdtype = np.float32 if dtype == "float32" else np.float64
+    rdtype = _real_dtype(dtype)
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
     if bits.ndim == 2:
@@ -353,24 +408,18 @@ def _conv_digital(
     bank = scipy.fft.ifftshift(np.asarray(bank, dtype=rdtype), axes=(-2, -1))
     kernel_spec = _resample_spectrum(bank, (h, w), sizes)
     spectrum = scipy.fft.fft2(bits, s=sizes, workers=workers)
-    b, k = len(bits), len(kernel_spec)
-    scale = 1 / (sizes[0] * sizes[1])
-    step = _block_images(k * spectrum[0].nbytes)
-    block = np.empty((min(step, b), k, *sizes), dtype=spectrum.dtype)
-    fields = np.empty((b, k, h, w), dtype=spectrum.dtype) if keep_fields else None
-    intensity = np.empty((b, k, h, w), dtype=rdtype)
-    for s in range(0, b, step):
-        e = min(s + step, b)
-        filtered = np.multiply(spectrum[s:e, None], kernel_spec, out=block[: e - s])
-        cols = scipy.fft.ifft(filtered, axis=-2, norm="forward", overwrite_x=True, workers=workers)
-        rows = cols[..., :h, :]
-        rows.view(rdtype)[...] *= scale
-        window = scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True, workers=workers)[..., :w]
-        if keep_fields:
-            fields[s:e] = window
-        np.square(window.real, out=intensity[s:e])
-        intensity[s:e] += np.square(window.imag)
+    intensity, fields = _inverse_windows(
+        spectrum, kernel_spec, slice(0, h), slice(0, w), rdtype, workers, keep_fields
+    )
     return intensity, fields, spectrum
+
+
+def _require_unbinned(noise: NoiseSpec | None) -> None:
+    if noise is not None and noise.bin_factor > 1:
+        raise ValueError(
+            f"optical capture needs camera bin_factor 1, got {noise.bin_factor}: "
+            "binning would shrink the feature windows the head reads"
+        )
 
 
 def _capture_frame(
@@ -386,11 +435,6 @@ def _capture_frame(
     into ``out`` (K, G, G): kernel pairs on diffraction orders 0 and 1 behind
     an ideal aperture, then the camera model, in kernel order. Every pair
     multiplies the one input spectrum the frame's plane caches."""
-    if noise is not None and noise.bin_factor > 1:
-        raise ValueError(
-            f"optical capture needs camera bin_factor 1, got {noise.bin_factor}: "
-            "binning would shrink the feature windows the head reads"
-        )
     plane = FieldPlane.from_bits(frame, config.dmd_pitch)
     for k0 in range(0, len(bank), 2):
         pair = list(bank[k0 : k0 + 2])
@@ -410,6 +454,7 @@ def _conv_optical(
 ) -> np.ndarray:
     """Capture each image centred on its own frame and crop the window.
     Noise-free output matches the digital path to floating-point precision."""
+    _require_unbinned(noise)
     g = params.grid
     h, w = params.image_hw
     bits = np.asarray(bits)
@@ -426,8 +471,7 @@ def _conv_optical(
         frame[r0 : r0 + h, c0 : c0 + w] = img
         _capture_frame(frame, bank, config, noise, rng, workers, maps)
         out[i] = maps[:, r0 : r0 + h, c0 : c0 + w]
-    feats, _ = _normalize_features(out)
-    return feats
+    return _normalize_features(out)[0]
 
 
 def conv_fourier_forward(
@@ -447,10 +491,10 @@ def conv_fourier_forward(
     path plus camera model. With noise off the two agree to floating point.
     Outputs are gain-normalized per frame.
     """
+    _real_dtype(dtype)
     if mode == "digital":
         intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
-        feats, _ = _normalize_features(intensity)
-        return feats
+        return _normalize_features(intensity)[0]
     if mode == "optical":
         if config is None:
             config = OpticalConfig()
@@ -540,8 +584,9 @@ def _loss_and_grads(
     raw, fields, spectrum = _conv_digital(
         bits, params, dtype=dtype, workers=workers, bank_override=bank_override
     )
+    b, k, h, w = raw.shape
+    argmax = raw.reshape(b, -1).argmax(axis=1)  # before the in-place divide: ties as in raw
     feats, peak = _normalize_features(raw)
-    b, k, h, w = feats.shape
     pooled = _maxpool2(feats)
     loss, acc, grads, dpre1 = _head_step(pooled.reshape(b, -1), labels, params)
     dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
@@ -551,10 +596,9 @@ def _loss_and_grads(
     # peak pixel collects the -sum(dL/dy * y)/m term.
     draw = dfeats / peak[:, None, None, None]
     dpeak = -(dfeats * feats).reshape(b, -1).sum(axis=1) / peak
-    argmax = raw.reshape(b, -1).argmax(axis=1)
     draw_flat = draw.reshape(b, -1)
     draw_flat[np.arange(b), argmax] += dpeak
-    draw = draw_flat.reshape(b, k, h, w).astype(raw.dtype, copy=False)
+    draw = draw_flat.reshape(b, k, h, w).astype(feats.dtype, copy=False)
 
     # |U|^2 gives dL/dU = 2 U dI on the window. Its cross-correlation with
     # the input, summed over the batch in frequency space, is the gradient at
@@ -580,8 +624,6 @@ def _loss_and_grads(
     if params.highpass_mask_enabled:
         _mask_centre(dbank)
     grads["fourier_kernels"] = dbank
-    for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
-        grads[name] = grads[name].astype(np.float64, copy=False)
     return loss, acc, grads
 
 
@@ -792,25 +834,42 @@ def features_tiled(
     """Conv features of images processed as tiled multi-image frames.
 
     The layout's frame must equal the simulation grid. Each frame goes
-    through the optical path once; per-image windows are extracted from every
-    kernel's output and gain-normalized per image.
+    through the optical path once; every kernel's output is read at the
+    image windows of the cells, which go through the camera model and are
+    gain-normalized per image.
+
+    On the full G x G frame the centred 4f path behind an ideal aperture is
+    the cyclic convolution ifft2(fft2(frame) * ifftshift(B_k)): the
+    centring shifts cancel for any G. The transform engine inverts it with
+    the row pass run only on the cells' rows, and the camera draws noise on
+    the cells' windows alone.
     """
     g = params.grid
     if layout.frame != (g, g):
         raise ValueError(f"layout frame {layout.frame} must match the {g}-px grid")
+    _require_unbinned(noise)
+    k = params.n_kernels
+    if k >= 2:
+        order_offset_px(1, config)  # kernel pairs use orders 0 and 1
     h, w = params.image_hw
-    bank = binarized_kernels(params)
+    gr, gc = layout.grid_rows, layout.grid_cols
+    rows = (np.array([layout.cell_origin(r * gc)[0] for r in range(gr)])[:, None] + np.arange(h)).ravel()
+    cols = (np.array([layout.cell_origin(c)[1] for c in range(gc)])[:, None] + np.arange(w)).ravel()
+    kernel_spec = scipy.fft.ifftshift(binarized_kernels(params), axes=(-2, -1))
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
-    maps = np.empty((params.n_kernels, g, g))
-    feats = np.empty((len(bits), params.n_kernels, h, w))
+    feats = np.empty((len(bits), k, h, w))
     cap = layout.capacity
     for s in range(0, len(bits), cap):
         group = bits[s : s + cap]
-        _capture_frame(tile(list(group), layout), bank, config, noise, rng, workers, maps)
-        feats[s : s + len(group)] = untile(maps, layout, count=len(group), content_shape=(h, w))
-    normalized, _ = _normalize_features(feats)
-    return normalized
+        frame = tile(list(group), layout)
+        if frame.max(initial=0) > 1:
+            raise ValueError("micromirror input must be binary (0/1)")
+        spectrum = scipy.fft.fft2(frame, workers=workers)[None]
+        windows, _ = _inverse_windows(spectrum, kernel_spec, rows, cols, np.float64, workers, False)
+        cells = windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)
+        feats[s : s + len(group)] = camera_capture(cells[: len(group)], noise, rng=rng)
+    return _normalize_features(feats)[0]
 
 
 def evaluate_tiled(

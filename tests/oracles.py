@@ -14,6 +14,9 @@ replaced, with the same transforms in the same order, so the implementation
 must equal them bitwise. They delegate the kernel resample and its adjoint
 to the implementation; ``resample_spectrum_oracle``, the FFT form those
 dense operators replaced, checks both to rounding.
+
+``features_tiled_oracle`` runs tiled frames through the physics reference in
+``optics``, the path the tiled conv engine replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import numpy as np
 import scipy.fft
 
 from opticonv import network
+from opticonv.datapipe import tile, untile
+from opticonv.optics import FieldPlane, ideal_aperture, multi_kernel_forward
 
 
 def centered_dft_matrix(n: int, inverse: bool = False) -> np.ndarray:
@@ -241,3 +246,28 @@ def train_stage1_oracle(dataset, config, params):
             }
         )
     return params, trace
+
+
+# ---------------------------------------------------------------------------
+# tiled frames
+
+
+def features_tiled_oracle(params, bits: np.ndarray, layout, config) -> np.ndarray:
+    """Noise-free tiled features through the optics module: each frame as a
+    micromirror plane, kernel pairs on diffraction orders 0 and 1 behind an
+    ideal aperture, the cells' image windows cut out by ``untile`` and
+    normalized to unit peak per image."""
+    g = params.grid
+    bank = network.binarized_kernels(params)
+    cells = []
+    for s in range(0, len(bits), layout.capacity):
+        group = bits[s : s + layout.capacity]
+        plane = FieldPlane.from_bits(tile(list(group), layout), config.dmd_pitch)
+        maps = []
+        for k0 in range(0, len(bank), 2):
+            pair = list(bank[k0 : k0 + 2])
+            aperture = ideal_aperture(range(len(pair)), (g, g), config)
+            maps += multi_kernel_forward(plane, pair, config, aperture)
+        cells += untile(np.stack(maps), layout, count=len(group), content_shape=params.image_hw)
+    feats = np.stack(cells)
+    return feats / feats.reshape(len(feats), -1).max(axis=1)[:, None, None, None]

@@ -175,6 +175,44 @@ class TestFailureContract:
         assert_one_line_usage_error(code, capsys, "--windows")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, key, value, needle", [
+        ("train", "n_kernels", 0, "train.n_kernels"),
+        ("train", "hidden", 0, "train.hidden"),
+        ("train", "grid", 0, "train.grid"),
+        ("train", "grid", 64.5, "train.grid"),
+        ("train", "batch_size", True, "train.batch_size"),
+        ("train", "momentum", "x", "train.momentum"),
+        ("train", "limit", -5, "train.limit"),
+        ("train", "limit", 0, "train.limit"),
+        ("train", "capture_n", -1, "train.capture_n"),
+        ("train", "capture_n", 0, "train.capture_n"),
+        ("train", "dtype", "float16", "train.dtype"),
+        ("noise", "sigma", "high", "noise.sigma"),
+        ("optical", "dmd_cols", 1920.5, "optical.dmd_cols"),
+        ("perf", "modes", ["fft", 3], "perf.modes"),
+        (None, "seed", 1.5, "seed"),
+    ])
+    def test_config_value_rejected(self, small_config, tmp_path, capsys, section, key, value, needle):
+        cfg = json.loads(small_config.read_text())
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "runs"
+        code = run(["--config", bad, "--out-dir", out_dir, "train", "--dataset", "mnist"])
+        assert_one_line_usage_error(code, capsys, needle)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [["quantize", "--dataset", "mnist"],
+                                         ["eval", "stage1.ckpt", "--dataset", "mnist"]],
+                             ids=["quantize", "eval"])
+    def test_negative_limit_rejected(self, small_config, tmp_path, capsys, command):
+        out_dir = tmp_path / "runs"
+        code = run(["--config", small_config, "--out-dir", out_dir, *command, "--limit", -5])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--limit" in err.strip().splitlines()[-1] and "Traceback" not in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3)], ids=["0-D", "1-D", "3-D"])
     def test_simulate_image_must_be_2d(self, small_config, tmp_path, capsys, shape):
         img_path = tmp_path / "img.npy"

@@ -28,11 +28,12 @@ from opticonv.network import (
     train_stage1,
     write_trace_csv,
 )
-from opticonv.optics import NoiseSpec, OpticalConfig
+from opticonv.optics import FrameOverflowError, NoiseSpec, OpticalConfig
 
 from oracles import (
     conv_4f_oracle,
     conv_window_oracle,
+    features_tiled_oracle,
     highpass_mask_oracle,
     maxpool2_backward_oracle,
     maxpool2_oracle,
@@ -291,10 +292,25 @@ class TestBlockedEngine:
             assert_same_bits(fields, want_fields)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_kernel_blocks_match_one_shot_oracle_bitwise(self, monkeypatch, dtype):
+        # when one image's K spectra exceed the block, the engine walks its
+        # kernels in blocks: here 2 + 2 + 1 of K=5
+        rdtype = np.float32 if dtype == "float32" else np.float64
+        params = init_params(seed=5, n_kernels=5, grid=64, image_hw=(28, 28))
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 55 * 55 * 2 * np.dtype(rdtype).itemsize)
+        bits = np.random.default_rng(5).integers(0, 2, (3, 28, 28)).astype(np.uint8)
+        intensity, fields, spectrum = network._conv_digital(bits, params, dtype=dtype)
+        bank = scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1))
+        kernel_spec = network._resample_spectrum(bank, (28, 28), (55, 55))
+        want_intensity, want_fields = conv_window_oracle(spectrum, kernel_spec, (28, 28))
+        assert_same_bits(intensity, want_intensity)
+        assert_same_bits(fields, want_fields)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_training_matches_oracle_loop_bitwise(self, dtype):
         # 37 images in batches of 8 leave a batch of 5; at K=16 on the 64-px
-        # grid a block holds 5 float32 or 2 float64 images, so blocks split
-        # the batches. The mask is on, so its centre-only form is covered.
+        # grid a block holds 2 float32 images or 1 float64 image, so blocks
+        # split the batches. The mask is on, so its centre-only form is covered.
         params = init_params(seed=3, n_kernels=16, grid=64, image_hw=(28, 28), hidden=32)
         bits, labels = toy_batch(3, n=37, hw=(28, 28), classes=10)
         cfg = TrainConfig(epochs_stage1=3, batch_size=8, lr_stage1=0.2, seed=4, grid=64, dtype=dtype)
@@ -563,6 +579,65 @@ class TestTiled:
         with pytest.raises(ValueError, match="bin_factor"):
             features_tiled(params, np.zeros((1, 8, 8), np.uint8), layout, OpticalConfig(),
                            noise=NoiseSpec(bin_factor=2))
+
+    @staticmethod
+    def odd_case(grid=63, n=12):
+        # masked random bank, so the tiles' outputs spill into one another;
+        # K=5 leaves the last kernel alone on order 0; 10-px cells around
+        # 8-px images; 12 images on 3x3 frames leave the last frame partial
+        params = init_params(seed=22, n_kernels=5, grid=grid, image_hw=(8, 8), n_classes=3, hidden=8)
+        bits, _ = toy_batch(22, n=n)
+        layout = TileLayout(grid_rows=3, grid_cols=3, gap=5, tile_px=(10, 10), frame=(grid, grid))
+        return params, bits, layout
+
+    @pytest.mark.parametrize("spectra_per_block", [None, 1, 2])
+    @pytest.mark.parametrize("grid", [63, 64])
+    def test_engine_matches_optics_oracle(self, monkeypatch, grid, spectra_per_block):
+        # None: all K=5 kernels in one block; 1 as at G=256; 2 gives 2 + 2 + 1
+        if spectra_per_block:
+            monkeypatch.setattr(network, "_BLOCK_BYTES", spectra_per_block * grid * grid * 16)
+        params, bits, layout = self.odd_case(grid)
+        got = features_tiled(params, bits, layout, OpticalConfig())
+        want = features_tiled_oracle(params, bits, layout, OpticalConfig())
+        assert got.shape == want.shape == (12, 5, 8, 8)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_non_binary_input_rejected(self):
+        params, bits, layout = self.odd_case()
+        bits[3, 2, 2] = 2
+        with pytest.raises(ValueError, match="binary"):
+            features_tiled(params, bits, layout, OpticalConfig())
+
+    def test_order_one_off_the_array_rejected(self):
+        params, bits, layout = self.odd_case()
+        narrow = OpticalConfig(dmd_cols=1000)  # order 1 centred 779 px out
+        with pytest.raises(FrameOverflowError):
+            features_tiled(params, bits, layout, narrow)
+        one = init_params(seed=22, n_kernels=1, grid=63, image_hw=(8, 8), n_classes=3, hidden=8)
+        assert features_tiled(one, bits, layout, narrow).shape == (12, 1, 8, 8)  # order 0 only
+
+    def test_noise_is_seeded(self):
+        params, bits, layout = self.odd_case()
+        def run(seed):
+            noise = NoiseSpec(sigma=0.1, seed=seed)
+            return features_tiled(params, bits, layout, OpticalConfig(), noise=noise)
+
+        assert_same_bits(run(5), run(5))
+        assert not np.array_equal(run(5), run(6))
+
+    def test_noise_has_the_specified_sigma(self):
+        # the camera multiplies each pixel by 1 + sigma * N(0, 1) and each
+        # image is rescaled to unit peak, so per image the noisy-to-clean
+        # ratio, over its mean, spreads by sigma
+        params, bits, layout = self.odd_case(grid=64, n=27)
+        sigma = 0.1
+        clean = features_tiled(params, bits, layout, OpticalConfig())
+        noisy = features_tiled(params, bits, layout, OpticalConfig(), noise=NoiseSpec(sigma=sigma, seed=7))
+        spread = []
+        for c, n in zip(clean, noisy):
+            r = n[c > 0.01] / c[c > 0.01]
+            spread.append(r / r.mean() - 1.0)
+        assert abs(np.std(np.concatenate(spread)) / sigma - 1.0) <= 0.1
 
     def test_evaluate_tiled_smoke(self):
         grid = 64
