@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -139,6 +140,8 @@ def _check_type(value, type_name: str, where: str) -> None:
         ok = ok and all(isinstance(v, str) for v in value)
     if not ok:
         raise UsageError(f"config key {where} must be {type_name}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN and Infinity parse
+        raise UsageError(f"config key {where} must be finite, got {json.dumps(value)}")
 
 
 def _build_section(cls, doc: dict, where: str):
@@ -174,7 +177,9 @@ def load_run_config(path: str | Path | None) -> RunConfig:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {key!r} must be an object")
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    _train_config(cfg)  # the library's own range checks, before any run directory exists
+    return cfg
 
 
 def config_digest(cfg: RunConfig, command: str) -> str:

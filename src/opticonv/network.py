@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -127,7 +128,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters and reproducibility knobs for both training stages."""
+    """Hyperparameters and reproducibility knobs for both training stages.
+
+    ``dtype`` is the stage-1 arithmetic: the conv layer, the pool and the
+    head's three feature-sized GEMMs run in it. The bias adds, fc2, the
+    softmax and the loss run in float64, as do the masters and the
+    optimizer. Physics checks run float64."""
 
     lr_stage1: float = 0.01
     lr_stage2: float = 0.005
@@ -138,11 +144,14 @@ class TrainConfig:
     seed: int = 0
     noise: NoiseSpec = NoiseSpec(sigma=0.1, seed=1)
     grid: int = 256
-    dtype: str = "float32"  # stage-1 arithmetic; physics checks run float64
+    dtype: str = "float32"  # stage-1 arithmetic, see above
 
     def __post_init__(self) -> None:
-        if self.lr_stage1 <= 0 or self.lr_stage2 <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_stage1", "lr_stage2"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs_stage1 < 1 or self.epochs_stage2 < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -169,12 +178,26 @@ def init_params(
     """Seeded initialization: kernel masters uniform in [-0.5, 0.5] directly
     in the Fourier domain, Glorot-uniform dense layers, zero biases."""
     rng = np.random.default_rng(seed)
-    kernels = rng.uniform(-0.5, 0.5, size=(n_kernels, grid, grid))
+
+    def uniform(low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        # rng.uniform(low, high, size) bit for bit (low + (high - low) * u,
+        # the stream drawn in order), scaled in place one cache block at a time
+        x = np.empty(size)
+        flat = x.reshape(-1)
+        chunk = max(1, _BLOCK_BYTES // x.itemsize)
+        for s in range(0, flat.size, chunk):
+            part = flat[s : s + chunk]
+            rng.random(out=part)
+            part *= high - low
+            part += low
+        return x
+
+    kernels = uniform(-0.5, 0.5, (n_kernels, grid, grid))
     d = n_kernels * (image_hw[0] // 2) * (image_hw[1] // 2)
 
     def glorot(n_in: int, n_out: int) -> np.ndarray:
         lim = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-lim, lim, size=(n_in, n_out))
+        return uniform(-lim, lim, (n_in, n_out))
 
     params = ModelParams(
         fourier_kernels=kernels,
@@ -192,9 +215,13 @@ def init_params(
 # binarization with straight-through estimator
 
 
-def _binarize(w: np.ndarray, dtype) -> np.ndarray:
+def _require_finite(w: np.ndarray) -> None:
     if not np.all(np.isfinite(w)):
         raise ValueError("kernel masters must be finite")
+
+
+def _binarize(w: np.ndarray, dtype) -> np.ndarray:
+    _require_finite(w)
     return (w > 0).astype(dtype)
 
 
@@ -225,6 +252,25 @@ def binarized_kernels(params: ModelParams, dtype=np.float64) -> np.ndarray:
     """The hardware view of the kernel bank: binary, center-masked if enabled."""
     b = _binarize(params.fourier_kernels, dtype)
     return _mask_centre(b) if params.highpass_mask_enabled else b
+
+
+def _shifted_bank(masters: np.ndarray, highpass: bool, dtype) -> np.ndarray:
+    """The binarized bank of ``masters`` (k, G, G), center-masked if
+    ``highpass``, in ifftshift order without the shift: each quadrant is
+    binarized straight into its unshifted place, and the centre mask lands
+    on the corner bins."""
+    _require_finite(masters)
+    g = masters.shape[-1]
+    c = g // 2  # ifftshift moves bin (i + c) % g to i
+    bank = np.empty(masters.shape, dtype=dtype)
+    halves = ((slice(0, g - c), slice(c, g)), (slice(g - c, g), slice(0, c)))
+    for dst_r, src_r in halves:
+        for dst_c, src_c in halves:
+            np.greater(masters[:, src_r, src_c], 0, out=bank[:, dst_r, dst_c])
+    if highpass:
+        corner = np.arange(-HIGHPASS_HALF, HIGHPASS_HALF + 1) % g
+        bank[:, corner[:, None], corner] = 0
+    return bank
 
 
 def _apply_mask_to_masters(params: ModelParams) -> ModelParams:
@@ -294,17 +340,32 @@ def _resample_spectrum(spec: np.ndarray, window: tuple[int, int], sizes: tuple[i
     return spec
 
 
+def _kernel_spectrum(
+    params: ModelParams, window: tuple[int, int], sizes: tuple[int, int], dtype
+) -> np.ndarray:
+    """The binarized bank's spectrum on the small grid of ``sizes``, built in
+    blocks of kernels whose bank fits ``_BLOCK_BYTES``, so that the
+    full-grid bank is never held whole. matmul runs one GEMM per kernel, so
+    the blocks give the bits of one resample of the whole bank."""
+    masters, highpass = params.fourier_kernels, params.highpass_mask_enabled
+    step = max(1, _BLOCK_BYTES // (masters[0].size * np.dtype(dtype).itemsize))
+    return np.concatenate([
+        _resample_spectrum(_shifted_bank(masters[k0 : k0 + step], highpass, dtype), window, sizes)
+        for k0 in range(0, len(masters), step)
+    ])
+
+
 def _kernel_gradient(corr: np.ndarray, window: tuple[int, int], g: int) -> np.ndarray:
-    """Float64 gradient (K, G, G) at the centered kernel bins of the loss
-    whose gradient at each impulse-response lag has the small-grid spectrum
-    ``corr`` (K, n_h, n_w): fftshift(Re(resample of corr to G x G)) / G^2,
-    the adjoint of p = ifft2(B). The operators are real, so only Re(corr)
-    enters, and the shift and 1/G^2 are folded into them: two real GEMMs."""
+    """Gradient (K, G, G), in the real dtype of ``corr``, at the centered
+    kernel bins of the loss whose gradient at each impulse-response lag has
+    the small-grid spectrum ``corr`` (K, n_h, n_w): fftshift(Re(resample of
+    corr to G x G)) / G^2, the adjoint of p = ifft2(B). The operators are
+    real, so only Re(corr) enters, and the shift and 1/G^2 are folded into
+    them: two real GEMMs."""
     n_h, n_w = corr.shape[-2:]
     dtype = np.finfo(corr.dtype).dtype
     rows = np.ascontiguousarray(corr.real) @ _gradient_operator(n_w, window[1], g, dtype).T
-    grad = _gradient_operator(n_h, window[0], g, dtype) @ rows
-    return grad.astype(np.float64, copy=False)
+    return _gradient_operator(n_h, window[0], g, dtype) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +388,7 @@ def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # outputs vary over orders of magnitude and the head retraining absorbs
     # static gain.
     b = raw.shape[0]
-    peak = raw.reshape(b, -1).max(axis=1)
+    peak = raw.reshape(b, math.prod(raw.shape[1:])).max(axis=1)
     peak = np.maximum(peak, _NORM_EPS)
     raw /= peak[:, None, None, None]
     return raw, peak
@@ -358,8 +419,9 @@ def _inverse_windows(
     (b, n, m), k = spectrum.shape, len(kernel_spec)
     n_rows, n_cols = np.arange(n)[rows].size, np.arange(m)[cols].size
     scale = 1 / (n * m)
-    k_step = min(k, max(1, _BLOCK_BYTES // spectrum[0].nbytes))
-    b_step = _block_images(k * spectrum[0].nbytes)  # 1 when K spectra exceed a block
+    spectrum_bytes = n * m * spectrum.itemsize
+    k_step = min(k, max(1, _BLOCK_BYTES // spectrum_bytes))
+    b_step = _block_images(k * spectrum_bytes)  # 1 when K spectra exceed a block
     block = np.empty((min(b_step, b), k_step, n, m), dtype=spectrum.dtype)
     fields = np.empty((b, k, n_rows, n_cols), dtype=spectrum.dtype) if keep_fields else None
     intensity = np.empty((b, k, n_rows, n_cols), dtype=rdtype)
@@ -404,10 +466,13 @@ def _conv_digital(
     if bits.shape[1:] != (h, w):
         raise ValueError(f"batch {bits.shape} does not match native window {(h, w)}")
     sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), params.grid) for s in (h, w))
-    bank = binarized_kernels(params, rdtype) if bank_override is None else bank_override
-    bank = scipy.fft.ifftshift(np.asarray(bank, dtype=rdtype), axes=(-2, -1))
-    kernel_spec = _resample_spectrum(bank, (h, w), sizes)
+    if bank_override is None:
+        kernel_spec = _kernel_spectrum(params, (h, w), sizes, rdtype)
+    else:
+        bank = scipy.fft.ifftshift(np.asarray(bank_override, dtype=rdtype), axes=(-2, -1))
+        kernel_spec = _resample_spectrum(bank, (h, w), sizes)
     spectrum = scipy.fft.fft2(bits, s=sizes, workers=workers)
+    kernel_spec = kernel_spec.astype(spectrum.dtype)  # once, not in every block's multiply
     intensity, fields = _inverse_windows(
         spectrum, kernel_spec, slice(0, h), slice(0, w), rdtype, workers, keep_fields
     )
@@ -516,19 +581,37 @@ def _maxpool2(x: np.ndarray) -> np.ndarray:
 
 def _maxpool2_backward(grad: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
     """Route each pooled gradient to the first maximum of its 2x2 block in
-    row-major order (``argmax``'s tie rule); +0.0 everywhere else."""
-    out = np.zeros(x.shape, dtype=grad.dtype)
+    row-major order (``argmax``'s tie rule); +0.0 everywhere else.
+
+    Each of the four block positions is written once, as the gradient's bits
+    times the 0/1 hit mask in integers: a hit keeps its exact bits (-0.0
+    included) and a miss gets the bits of +0.0."""
+    out = np.empty(x.shape, dtype=grad.dtype)
+    as_int = f"i{grad.itemsize}"
+    grad_bits, out_bits = grad.view(as_int), out.view(as_int)
     free = np.ones(pooled.shape, dtype=bool)
+    hit = np.empty(pooled.shape, dtype=bool)
     for dr in (0, 1):
         for dc in (0, 1):
-            hit = free & (x[..., dr::2, dc::2] == pooled)
-            np.copyto(out[..., dr::2, dc::2], grad, where=hit)
-            free &= ~hit
+            np.equal(x[..., dr::2, dc::2], pooled, out=hit)
+            hit &= free
+            np.multiply(grad_bits, hit, out=out_bits[..., dr::2, dc::2])
+            free ^= hit
     return out
 
 
+def _fc1_weights(flat: np.ndarray, params: ModelParams) -> np.ndarray:
+    """fc1_w in the dtype of the feature-sized GEMMs: the features' float
+    dtype, at least float32. For float64 features this is fc1_w itself."""
+    return params.fc1_w.astype(np.promote_types(flat.dtype, np.float32), copy=False)
+
+
 def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Max-pool 2x2 stride 2, flatten, FC1 + ReLU, FC2 -> logits."""
+    """Max-pool 2x2 stride 2, flatten, FC1 + ReLU, FC2 -> logits.
+
+    ``flat @ fc1_w`` runs in the features' dtype (float32 features stay
+    float32); the bias adds and fc2 run in float64, so the logits are
+    float64. Float64 features take the float64 head unchanged."""
     if features.ndim == 3:
         features = features[None]
     b, k, h, w = features.shape
@@ -537,18 +620,24 @@ def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
             f"feature shape {(k, h, w)} does not match params "
             f"{(params.n_kernels, *params.image_hw)}"
         )
-    flat = _maxpool2(features).reshape(b, -1)
-    hidden = np.maximum(flat @ params.fc1_w + params.fc1_b, 0.0)
+    flat = _maxpool2(features).reshape(b, len(params.fc1_w))
+    hidden = np.maximum(flat @ _fc1_weights(flat, params) + params.fc1_b, 0.0)
     return hidden @ params.fc2_w + params.fc2_b
 
 
 def _head_step(
-    flat: np.ndarray, labels: np.ndarray, params: ModelParams
+    flat: np.ndarray, fc1_w: np.ndarray, labels: np.ndarray, params: ModelParams
 ) -> tuple[float, float, dict[str, np.ndarray], np.ndarray]:
     """Dense head forward and backward on pooled, flattened features (B, D):
     softmax cross-entropy loss, accuracy, the fc gradients and dL/d(fc1
-    pre-activation), from which the caller may continue the backward pass."""
-    pre1 = flat @ params.fc1_w + params.fc1_b
+    pre-activation), from which the caller may continue the backward pass.
+
+    ``fc1_w`` is ``_fc1_weights(flat, params)``: ``flat @ fc1_w`` and
+    ``flat.T @ dpre1`` run in the features' dtype, so the fc1_w gradient
+    and the returned dpre1 are in it too. The bias adds, fc2, the softmax
+    and the loss run in float64, as do the other gradients (a float32
+    ``p + 1e-300`` would add 0 and let an underflowed class give -inf)."""
+    pre1 = flat @ fc1_w + params.fc1_b
     hidden = np.maximum(pre1, 0.0)
     logits = hidden @ params.fc2_w + params.fc2_b
     z = logits - logits.max(axis=1, keepdims=True)
@@ -560,13 +649,14 @@ def _head_step(
     p[rows, labels] -= 1.0
     dlogits = p / len(labels)
     dpre1 = (dlogits @ params.fc2_w.T) * (pre1 > 0)
+    dpre1_gemm = dpre1.astype(fc1_w.dtype, copy=False)
     grads = {
         "fc2_w": hidden.T @ dlogits,
         "fc2_b": dlogits.sum(axis=0),
-        "fc1_w": flat.T @ dpre1,
+        "fc1_w": flat.T @ dpre1_gemm,
         "fc1_b": dpre1.sum(axis=0),
     }
-    return loss, acc, grads, dpre1
+    return loss, acc, grads, dpre1_gemm
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +678,15 @@ def _loss_and_grads(
     argmax = raw.reshape(b, -1).argmax(axis=1)  # before the in-place divide: ties as in raw
     feats, peak = _normalize_features(raw)
     pooled = _maxpool2(feats)
-    loss, acc, grads, dpre1 = _head_step(pooled.reshape(b, -1), labels, params)
-    dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
-    dfeats = _maxpool2_backward(dpooled, feats, pooled)
+    flat = pooled.reshape(b, -1)
+    fc1_w = _fc1_weights(flat, params)
+    loss, acc, grads, dpre1 = _head_step(flat, fc1_w, labels, params)
+    dpooled = (dpre1 @ fc1_w.T).reshape(pooled.shape)
+    draw = _maxpool2_backward(dpooled, feats, pooled)  # dL/dy, made dL/draw below
 
+    # The rest of the backward runs per block of images, in cache.
     # Through the unit-max gain: y = raw / m with m the per-frame peak; the
     # peak pixel collects the -sum(dL/dy * y)/m term.
-    draw = dfeats / peak[:, None, None, None]
-    dpeak = -(dfeats * feats).reshape(b, -1).sum(axis=1) / peak
-    draw_flat = draw.reshape(b, -1)
-    draw_flat[np.arange(b), argmax] += dpeak
-    draw = draw_flat.reshape(b, k, h, w).astype(feats.dtype, copy=False)
-
     # |U|^2 gives dL/dU = 2 U dI on the window. Its cross-correlation with
     # the input, summed over the batch in frequency space, is the gradient at
     # each impulse-response lag, which _kernel_gradient maps to the bins.
@@ -609,18 +696,33 @@ def _loss_and_grads(
     # added in batch order to one accumulator.
     n_h, n_w = spectrum.shape[-2:]
     corr = np.zeros((k, n_h, n_w), dtype=fields.dtype)
+    conj = spectrum.conj()
     step = _block_images(corr.nbytes)
     for s in range(0, b, step):
         e = min(s + step, b)
+        d, m = draw[s:e], peak[s:e]
+        dpeak = -(d * feats[s:e]).reshape(e - s, -1).sum(axis=1) / m
+        d /= m[:, None, None, None]
+        d.reshape(e - s, -1)[np.arange(e - s), argmax[s:e]] += dpeak
         window = 2.0 * fields[s:e]
-        window *= draw[s:e]
+        window *= d
         cols = scipy.fft.fft(window, n=n_h, axis=-2, overwrite_x=True, workers=workers)
         spec = scipy.fft.fft(cols, n=n_w, axis=-1, overwrite_x=True, workers=workers)
-        spec *= spectrum[s:e, None].conj()
+        spec *= conj[s:e, None]
         for one in spec:
             corr += one
-    dbank = _kernel_gradient(corr, (h, w), params.grid)
-    dbank *= np.abs(params.fourier_kernels) <= STE_CLIP  # binarize_ste_grad, in place
+    # binarize_ste_grad with the float64 cast in the same pass, in blocks of
+    # kernels that stay in cache (one GEMM per kernel either way, so the
+    # same bits): |w| becomes the pass mask (1.0 or 0.0) in the gradient's
+    # buffer, then the gradient times it
+    masters = params.fourier_kernels
+    dbank = np.empty(masters.shape)
+    k_step = max(1, _BLOCK_BYTES // dbank[0].nbytes)
+    for k0 in range(0, k, k_step):
+        part = dbank[k0 : k0 + k_step]
+        np.abs(masters[k0 : k0 + k_step], out=part)
+        np.less_equal(part, STE_CLIP, out=part)
+        np.multiply(_kernel_gradient(corr[k0 : k0 + k_step], (h, w), params.grid), part, out=part)
     if params.highpass_mask_enabled:
         _mask_centre(dbank)
     grads["fourier_kernels"] = dbank
@@ -632,7 +734,13 @@ _PARAM_NAMES = ("fourier_kernels", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 
 class _Momentum:
     """Heavy-ball SGD. The velocities are updated in place; each step returns
-    parameters in fresh arrays and never writes to the ones it was given."""
+    parameters in fresh arrays and never writes to the ones it was given.
+
+    Velocities have their parameter's dtype; a narrower gradient (the
+    float32 step's fc1_w) is cast exactly as it is read. Each parameter is
+    walked in chunks whose four arrays (velocity, gradient, parameter,
+    result) fill one ``_BLOCK_BYTES`` block, so that the passes of a chunk
+    run in cache."""
 
     def __init__(self, names: Sequence[str]):
         self.v = {n: None for n in names}
@@ -640,14 +748,23 @@ class _Momentum:
     def step(self, params: ModelParams, grads: dict, lr: float, momentum: float) -> ModelParams:
         new = {}
         for n, v in self.v.items():
-            g = grads[n]
-            if v is None:
-                self.v[n] = v = np.array(g)
-            else:
-                v *= momentum
-                v += g
-            update = lr * v
-            new[n] = np.subtract(getattr(params, n), update, out=update)
+            g, p = grads[n], getattr(params, n)
+            first = v is None
+            if first:
+                self.v[n] = v = np.empty(p.shape, dtype=p.dtype)
+            out = np.empty(p.shape, dtype=p.dtype)
+            flat = [a.reshape(-1) for a in (v, g, p, out)]  # v, out: views
+            chunk = max(1, _BLOCK_BYTES // (4 * v.itemsize))
+            for s in range(0, v.size, chunk):
+                v_c, g_c, p_c, out_c = (a[s : s + chunk] for a in flat)
+                if first:
+                    v_c[...] = g_c
+                else:
+                    v_c *= momentum
+                    v_c += g_c
+                np.multiply(v_c, lr, out=out_c)
+                np.subtract(p_c, out_c, out=out_c)
+            new[n] = out
         return replace(params, **new)
 
 
@@ -755,7 +872,7 @@ def finetune_stage2(
         losses, accs = [], []
         for s in range(0, n, config.batch_size):
             sel = order[s : s + config.batch_size]
-            loss, acc, grads, _ = _head_step(flat_all[sel], labels[sel], params)
+            loss, acc, grads, _ = _head_step(flat_all[sel], params.fc1_w, labels[sel], params)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"stage 2 diverged at epoch {epoch}")
             params = opt.step(params, grads, config.lr_stage2, config.momentum)
@@ -781,7 +898,8 @@ def _score(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> EvalResult:
     labels = np.asarray(labels)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
-    return EvalResult(float(np.mean(preds == labels)), confusion, len(labels))
+    accuracy = float(np.mean(preds == labels)) if len(labels) else 0.0
+    return EvalResult(accuracy, confusion, len(labels))
 
 
 def predict(
@@ -803,7 +921,7 @@ def predict(
             rng=rng, dtype=dtype, workers=workers,
         )
         out.append(head_forward(feats, params).argmax(axis=1))
-    return np.concatenate(out)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
 
 
 def evaluate(
@@ -855,7 +973,7 @@ def features_tiled(
     gr, gc = layout.grid_rows, layout.grid_cols
     rows = (np.array([layout.cell_origin(r * gc)[0] for r in range(gr)])[:, None] + np.arange(h)).ravel()
     cols = (np.array([layout.cell_origin(c)[1] for c in range(gc)])[:, None] + np.arange(w)).ravel()
-    kernel_spec = scipy.fft.ifftshift(binarized_kernels(params), axes=(-2, -1))
+    kernel_spec = _shifted_bank(params.fourier_kernels, params.highpass_mask_enabled, np.float64)
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
     feats = np.empty((len(bits), k, h, w))

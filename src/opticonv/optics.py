@@ -21,6 +21,7 @@ kernel reproduces the input in its original orientation. Pass
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -191,10 +192,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
-        if self.dark < 0:
-            raise ValueError("dark floor must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
+        if not 0 <= self.dark < math.inf:
+            raise ValueError(f"dark floor must be finite and non-negative, got {self.dark}")
         if self.bin_factor < 1:
             raise ValueError("bin factor must be >= 1")
 

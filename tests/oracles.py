@@ -163,7 +163,9 @@ def conv_window_oracle(
 def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: str):
     """One stage-1 loss, accuracy and gradient dict: the conv forward and the
     backward's zero-padded transform each in one shot over the batch, and the
-    high-pass mask as a full-grid multiply."""
+    high-pass mask as a full-grid multiply. The head is written out: its
+    three feature-sized GEMMs, the pool and the gain backward run in the
+    features' dtype, the rest in float64."""
     rdtype = np.float32 if dtype == "float32" else np.float64
     g = params.grid
     h, w = params.image_hw
@@ -180,26 +182,48 @@ def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: s
     feats, peak = network._normalize_features(raw)
     b, k = feats.shape[:2]
     pooled = network._maxpool2(feats)
-    loss, acc, grads, dpre1 = network._head_step(pooled.reshape(b, -1), labels, params)
-    dpooled = (dpre1 @ params.fc1_w.T).reshape(pooled.shape)
+    flat = pooled.reshape(b, -1)
+
+    # The head: the three feature-sized GEMMs in the features' dtype; the
+    # bias adds, fc2, the softmax and the loss in float64.
+    fc1_w = params.fc1_w.astype(rdtype)
+    pre1 = flat @ fc1_w + params.fc1_b
+    hidden = np.maximum(pre1, 0.0)
+    logits = hidden @ params.fc2_w + params.fc2_b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(b)
+    loss = -float(np.mean(np.log(p[rows, labels] + 1e-300)))
+    acc = float(np.mean(logits.argmax(axis=1) == labels))
+    onehot = np.zeros_like(p)
+    onehot[rows, labels] = 1.0
+    dlogits = (p - onehot) / b
+    dpre1 = (dlogits @ params.fc2_w.T) * (pre1 > 0)
+    grads = {
+        "fc2_w": hidden.T @ dlogits,
+        "fc2_b": dlogits.sum(axis=0),
+        "fc1_w": (flat.T @ dpre1.astype(rdtype)).astype(np.float64),
+        "fc1_b": dpre1.sum(axis=0),
+    }
+
+    # The pool and gain backward in the features' dtype.
+    dpooled = (dpre1.astype(rdtype) @ fc1_w.T).reshape(pooled.shape)
     dfeats = network._maxpool2_backward(dpooled, feats, pooled)
     draw = dfeats / peak[:, None, None, None]
     dpeak = -(dfeats * feats).reshape(b, -1).sum(axis=1) / peak
     draw_flat = draw.reshape(b, -1)
     draw_flat[np.arange(b), raw.reshape(b, -1).argmax(axis=1)] += dpeak
-    draw = draw_flat.reshape(b, k, h, w).astype(raw.dtype, copy=False)
+    draw = draw_flat.reshape(b, k, h, w)
 
     grad_spec = scipy.fft.fft2(2.0 * fields * draw, s=sizes)
     corr = np.zeros((k, *sizes), dtype=grad_spec.dtype)
     for one, spec in zip(grad_spec, spectrum):
         corr += one * spec.conj()
-    dbank = network._kernel_gradient(corr, (h, w), g)
+    dbank = network._kernel_gradient(corr, (h, w), g).astype(np.float64)
     dmasters = network.binarize_ste_grad(params.fourier_kernels, dbank)
     if params.highpass_mask_enabled:
         dmasters = dmasters * highpass_mask_oracle(g)
     grads["fourier_kernels"] = dmasters
-    for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
-        grads[name] = grads[name].astype(np.float64)
     return loss, acc, grads
 
 
@@ -256,7 +280,8 @@ def features_tiled_oracle(params, bits: np.ndarray, layout, config) -> np.ndarra
     """Noise-free tiled features through the optics module: each frame as a
     micromirror plane, kernel pairs on diffraction orders 0 and 1 behind an
     ideal aperture, the cells' image windows cut out by ``untile`` and
-    normalized to unit peak per image."""
+    normalized to unit peak per image (an all-zero image stays zero: the
+    peak is floored as in the engine)."""
     g = params.grid
     bank = network.binarized_kernels(params)
     cells = []
@@ -270,4 +295,5 @@ def features_tiled_oracle(params, bits: np.ndarray, layout, config) -> np.ndarra
             maps += multi_kernel_forward(plane, pair, config, aperture)
         cells += untile(np.stack(maps), layout, count=len(group), content_shape=params.image_hw)
     feats = np.stack(cells)
-    return feats / feats.reshape(len(feats), -1).max(axis=1)[:, None, None, None]
+    peak = np.maximum(feats.reshape(len(feats), -1).max(axis=1), network._NORM_EPS)
+    return feats / peak[:, None, None, None]

@@ -191,6 +191,13 @@ class TestFailureContract:
         ("optical", "dmd_cols", 1920.5, "optical.dmd_cols"),
         ("perf", "modes", ["fft", 3], "perf.modes"),
         (None, "seed", 1.5, "seed"),
+        ("noise", "sigma", float("nan"), "noise.sigma"),
+        ("noise", "dark", float("inf"), "noise.dark"),
+        ("noise", "dark", -1.0, "dark floor"),
+        ("train", "lr_stage1", float("nan"), "train.lr_stage1"),
+        ("train", "lr_stage2", 0, "lr_stage2"),
+        ("train", "momentum", 5.0, "momentum"),
+        ("optical", "wavelength", float("-inf"), "optical.wavelength"),
     ])
     def test_config_value_rejected(self, small_config, tmp_path, capsys, section, key, value, needle):
         cfg = json.loads(small_config.read_text())

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestKernelBank:
         params = init_params(seed=5, n_kernels=4, grid=16, image_hw=(8, 8))
         drawn = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4, 16, 16))
         assert_same_bits(params.fourier_kernels, drawn * highpass_mask_oracle(16))
+
+    def test_draws_equal_uniform_bitwise(self, monkeypatch):
+        # the draws are scaled in cache blocks, here of 7 values
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 7 * 8)
+        params = init_params(seed=6, n_kernels=2, grid=16, image_hw=(8, 8), hidden=5, n_classes=3,
+                             highpass_mask_enabled=False)
+        rng = np.random.default_rng(6)
+        assert_same_bits(params.fourier_kernels, rng.uniform(-0.5, 0.5, size=(2, 16, 16)))
+        for w in (params.fc1_w, params.fc2_w):
+            lim = np.sqrt(6.0 / sum(w.shape))
+            assert_same_bits(w, rng.uniform(-lim, lim, size=w.shape))
 
 
 class TestConvForward:
@@ -250,6 +262,19 @@ class TestWindowedEngine:
         assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
+    def test_float32_head_matches_float64(self):
+        # the head's feature-sized GEMMs run in float32 in the float32 step,
+        # so the fc1_w gradient is float32; the loss and the rest stay float64
+        params = init_params(seed=6, n_kernels=16, grid=64, image_hw=(28, 28), hidden=32)
+        bits, labels = toy_batch(6, n=8, hw=(28, 28), classes=10)
+        l32, a32, g32 = network._loss_and_grads(params, bits, labels, "float32", 1)
+        l64, a64, g64 = network._loss_and_grads(params, bits, labels, "float64", 1)
+        assert abs(l32 - l64) <= 1e-5 * abs(l64) and a32 == a64
+        for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
+            got, want = g32[name], g64[name]
+            assert got.dtype == (np.float32 if name == "fc1_w" else np.float64)
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
     def test_forward_memory_stays_windowed(self):
         # full-grid (B, K, G, G) intermediates would need gigabytes here, and
         # one (B, K, 55, 55) product over the whole batch took 131 MB; the
@@ -263,6 +288,19 @@ class TestWindowedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_float32_step_memory(self):
+        # one float32 stage-1 step peaked at 55.8 MB while the head and the
+        # pool backward ran in float64 and the STE mask had its own buffers
+        params = init_params(seed=0, n_kernels=16, grid=256, image_hw=(28, 28))
+        bits, labels = toy_batch(0, n=64, hw=(28, 28), classes=10)
+        tracemalloc.start()
+        try:
+            network._loss_and_grads(params, bits, labels, "float32", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_window_larger_than_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -320,6 +358,21 @@ class TestBlockedEngine:
         for name in network._PARAM_NAMES:
             assert_same_bits(getattr(got, name), getattr(want, name))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_small_blocks_match_oracle_loop_bitwise(self, monkeypatch, dtype):
+        # 64 KiB blocks: the bank is built, the kernel gradient masked and
+        # the optimizer run in blocks of kernels or elements, and the
+        # inverse walks kernel blocks of each image
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 64 * 64 * 8)
+        params = init_params(seed=7, n_kernels=5, grid=64, image_hw=(28, 28), hidden=16)
+        bits, labels = toy_batch(7, n=11, hw=(28, 28), classes=10)
+        cfg = TrainConfig(epochs_stage1=2, batch_size=4, lr_stage1=0.2, seed=8, grid=64, dtype=dtype)
+        got, got_trace = train_stage1((bits, labels), cfg, params=params)
+        want, want_trace = train_stage1_oracle((bits, labels), cfg, params)
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
     def test_momentum_matches_out_of_place_oracle_and_writes_no_input(self):
         params = toy_params(seed=4, mask=True)
         rng = np.random.default_rng(4)
@@ -334,6 +387,90 @@ class TestBlockedEngine:
             params = opt.step(params, grads, 0.05, 0.9)
             for name in network._PARAM_NAMES:
                 assert_same_bits(getattr(params, name), want[name])
+
+    def test_momentum_chunks_and_float32_gradients_match_oracle(self, monkeypatch):
+        # 5-element chunks: every parameter spans several, most with a
+        # remainder; a float32 gradient steps as its exact float64 value
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 4 * 8 * 5)
+        params = toy_params(seed=5, mask=True)
+        rng = np.random.default_rng(5)
+        opt = network._Momentum(network._PARAM_NAMES)
+        velocity: dict = {}
+        for _ in range(3):
+            grads = {n: rng.standard_normal(getattr(params, n).shape) for n in network._PARAM_NAMES}
+            grads["fc1_w"] = grads["fc1_w"].astype(np.float32)
+            current = {n: getattr(params, n) for n in network._PARAM_NAMES}
+            exact = {n: g.astype(np.float64) for n, g in grads.items()}
+            want = momentum_step_oracle(current, velocity, exact, 0.05, 0.9)
+            params = opt.step(params, grads, 0.05, 0.9)
+            for name in network._PARAM_NAMES:
+                assert_same_bits(getattr(params, name), want[name])
+
+
+@st.composite
+def engine_shapes(draw):
+    """Even window sides h, w <= 12; a grid G from max(h, w, 2h - 3), where
+    the small grid is the full grid, to 2h + 9; K from 1 to 5; the number
+    of spectra per block, from 1 (kernel blocks) to 2K + 1 (image blocks);
+    the batch size; the mask flag; the dtype; the seed."""
+    h = 2 * draw(st.integers(1, 6))
+    w = 2 * draw(st.integers(1, 6))
+    g = draw(st.integers(max(h, w, 2 * h - 3), 2 * h + 9))
+    k = draw(st.integers(1, 5))
+    per_block = draw(st.integers(1, 2 * k + 1))
+    b = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from(["float32", "float64"]))
+    return h, w, g, k, per_block, b, draw(st.booleans()), dtype, draw(st.integers(0, 2**16))
+
+
+def unmasked_masters(params, seed):
+    """``params`` with masters drawn afresh, the centre bins included, so
+    that the bank's own high-pass mask is what zeroes them."""
+    masters = np.random.default_rng(seed).uniform(-0.5, 0.5, params.fourier_kernels.shape)
+    return network.replace(params, fourier_kernels=masters)
+
+
+class TestEngineShapeSweep:
+    """The block loop of ``_inverse_windows`` splits on slice vs index rows
+    and cols, image vs kernel blocks and a resampled vs a kept axis; each
+    split is swept here against the one-shot and physics oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(engine_shapes())
+    @example((28, 28, 64, 5, 2, 3, True, "float32", 0))  # kernel blocks 2 + 2 + 1
+    @example((8, 6, 13, 3, 7, 5, False, "float64", 1))  # 2h - 3 = G: a kept axis
+    @example((2, 2, 2, 2, 1, 2, True, "float32", 3))  # G = 2 and 3: the mask covers
+    @example((2, 2, 3, 2, 4, 2, True, "float64", 4))  # every bin, some bins twice
+    def test_digital_matches_one_shot_oracle_bitwise(self, shape):
+        h, w, g, k, per_block, b, mask, dtype, seed = shape
+        rdtype = np.float32 if dtype == "float32" else np.float64
+        params = unmasked_masters(toy_params(seed=seed, grid=g, hw=(h, w), k=k, mask=mask), seed)
+        bits = np.random.default_rng(seed).integers(0, 2, (b, h, w)).astype(np.uint8)
+        sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), g) for s in (h, w))
+        block = per_block * sizes[0] * sizes[1] * 2 * np.dtype(rdtype).itemsize
+        with mock.patch.object(network, "_BLOCK_BYTES", block):
+            intensity, fields, spectrum = network._conv_digital(bits, params, dtype=dtype)
+        bank = network._shifted_bank(params.fourier_kernels, mask, rdtype)
+        assert_same_bits(bank, scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1)))
+        kernel_spec = network._resample_spectrum(bank, (h, w), sizes)
+        want_intensity, want_fields = conv_window_oracle(spectrum, kernel_spec, (h, w))
+        assert_same_bits(intensity, want_intensity)
+        assert_same_bits(fields, want_fields)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(engine_shapes(), st.integers(0, 3))
+    @example((6, 6, 9, 5, 2, 5, True, "float64", 2), 1)  # odd G, kernel blocks
+    def test_tiled_matches_optics_oracle(self, shape, gap):
+        h, w, g, k, per_block, n, mask, _, seed = shape
+        params = unmasked_masters(toy_params(seed=seed, grid=g, hw=(h, w), k=k, mask=mask), seed)
+        bits = np.random.default_rng(seed).integers(0, 2, (n, h, w)).astype(np.uint8)
+        rows, cols = max(1, (g + gap) // (h + gap)), max(1, (g + gap) // (w + gap))
+        layout = TileLayout(grid_rows=rows, grid_cols=cols, gap=gap, tile_px=(h, w), frame=(g, g))
+        with mock.patch.object(network, "_BLOCK_BYTES", per_block * g * g * 16):
+            got = features_tiled(params, bits, layout, OpticalConfig())
+        want = features_tiled_oracle(params, bits, layout, OpticalConfig())
+        assert got.shape == want.shape == (n, k, h, w)
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 class TestHead:
@@ -362,6 +499,38 @@ class TestHead:
         params = toy_params()
         with pytest.raises(ValueError):
             head_forward(np.zeros((1, 2, 6, 6)), params)
+
+    def test_float64_features_take_the_float64_head_bitwise(self):
+        params = toy_params(seed=7)
+        feats = np.random.default_rng(7).random((5, 2, 8, 8))
+        flat = maxpool2_oracle(feats)[0].reshape(5, -1)
+        want = np.maximum(flat @ params.fc1_w + params.fc1_b, 0.0) @ params.fc2_w + params.fc2_b
+        assert_same_bits(head_forward(feats, params), want)
+
+    def test_float32_features_take_fc1_in_float32(self):
+        params = toy_params(seed=8)
+        feats = np.random.default_rng(8).random((5, 2, 8, 8)).astype(np.float32)
+        flat = maxpool2_oracle(feats)[0].reshape(5, -1)
+        pre1 = flat @ params.fc1_w.astype(np.float32) + params.fc1_b
+        want = np.maximum(pre1, 0.0) @ params.fc2_w + params.fc2_b
+        assert_same_bits(head_forward(feats, params), want)
+
+    def test_float32_step_loss_stays_finite_when_a_class_underflows(self):
+        # the label's logit at least 300 below another: its probability is
+        # 0 in float32, and the float64 softmax and loss with their 1e-300
+        # floor keep the loss finite
+        params = toy_params(seed=9, classes=3)
+        bits, _ = toy_batch(9, n=4, classes=3)
+        feats = conv_fourier_forward(bits, params, dtype="float32")
+        hidden = np.maximum(
+            maxpool2_oracle(feats)[0].reshape(4, -1) @ params.fc1_w + params.fc1_b, 0.0
+        )
+        push = np.array([1.0, 0.0, -1.0]) * 150.0 / max(hidden.sum(axis=1).min(), 1e-3)
+        params = network.replace(params, fc2_w=np.zeros((8, 3)) + push, fc2_b=np.zeros(3))
+        labels = np.full(4, 2)
+        loss, _, grads = network._loss_and_grads(params, bits, labels, "float32", 1)
+        assert np.isfinite(loss) and loss > 250
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
     def test_label_permutation_equivariance(self):
         params = toy_params(seed=6)
@@ -647,6 +816,61 @@ class TestTiled:
         layout = TileLayout(grid_rows=2, grid_cols=2, gap=12, tile_px=(8, 8), frame=(grid, grid))
         res = evaluate_tiled(params, (bits, labels), layout, OpticalConfig())
         assert res.n_samples == 12
+
+
+class TestEmptyBatch:
+    """An empty batch gives empty features and an empty, zero-count score."""
+
+    @staticmethod
+    def case():
+        params = toy_params(seed=23, grid=32, k=2)
+        layout = TileLayout(grid_rows=2, grid_cols=2, gap=2, tile_px=(8, 8), frame=(32, 32))
+        return params, np.zeros((0, 8, 8), np.uint8), np.zeros(0, np.int64), layout
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_digital_forward(self, dtype):
+        params, bits, _, _ = self.case()
+        feats = conv_fourier_forward(bits, params, dtype=dtype)
+        assert feats.shape == (0, 2, 8, 8) and feats.dtype == np.dtype(dtype)
+
+    def test_optical_forward(self):
+        params, bits, _, _ = self.case()
+        feats = conv_fourier_forward(bits, params, mode="optical", noise=NoiseSpec(sigma=0.1))
+        assert feats.shape == (0, 2, 8, 8)
+
+    def test_features_tiled(self):
+        params, bits, _, layout = self.case()
+        assert features_tiled(params, bits, layout, OpticalConfig()).shape == (0, 2, 8, 8)
+
+    def test_predict(self):
+        params, bits, _, _ = self.case()
+        preds = network.predict(params, bits)
+        assert preds.shape == (0,) and preds.dtype == np.intp
+
+    @staticmethod
+    def assert_empty_score(res, n_classes):
+        assert res.n_samples == 0 and res.accuracy == 0.0
+        assert res.confusion.shape == (n_classes, n_classes) and not res.confusion.any()
+
+    def test_evaluate(self):
+        params, bits, labels, _ = self.case()
+        self.assert_empty_score(evaluate(params, (bits, labels)), params.n_classes)
+
+    def test_evaluate_tiled(self):
+        params, bits, labels, layout = self.case()
+        self.assert_empty_score(evaluate_tiled(params, (bits, labels), layout, OpticalConfig()),
+                                params.n_classes)
+
+
+class TestTrainConfigValues:
+    @pytest.mark.parametrize("field, value", [
+        ("lr_stage1", float("nan")), ("lr_stage1", float("inf")), ("lr_stage1", 0.0),
+        ("lr_stage2", float("nan")), ("lr_stage2", -0.1),
+        ("momentum", float("nan")), ("momentum", 1.0), ("momentum", 5.0), ("momentum", -0.1),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestCheckpoint:

@@ -397,6 +397,12 @@ class TestCameraCapture:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["sigma", "dark"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**{field: value})
+
     def test_clamp_at_zero(self):
         img = np.full((50, 50), 1e-6)
         out = camera_capture(img, NoiseSpec(sigma=5.0, seed=1))
