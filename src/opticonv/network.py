@@ -29,15 +29,7 @@ import numpy as np
 import scipy.fft
 
 from .datapipe import DataFormatError, TileLayout, tile
-from .optics import (
-    FieldPlane,
-    NoiseSpec,
-    OpticalConfig,
-    camera_capture,
-    ideal_aperture,
-    multi_kernel_forward,
-    order_offset_px,
-)
+from .optics import NoiseSpec, OpticalConfig, camera_capture, order_offset_px
 
 __all__ = [
     "ModelParams",
@@ -340,19 +332,28 @@ def _resample_spectrum(spec: np.ndarray, window: tuple[int, int], sizes: tuple[i
     return spec
 
 
-def _kernel_spectrum(
-    params: ModelParams, window: tuple[int, int], sizes: tuple[int, int], dtype
-) -> np.ndarray:
-    """The binarized bank's spectrum on the small grid of ``sizes``, built in
-    blocks of kernels whose bank fits ``_BLOCK_BYTES``, so that the
-    full-grid bank is never held whole. matmul runs one GEMM per kernel, so
-    the blocks give the bits of one resample of the whole bank."""
-    masters, highpass = params.fourier_kernels, params.highpass_mask_enabled
-    step = max(1, _BLOCK_BYTES // (masters[0].size * np.dtype(dtype).itemsize))
-    return np.concatenate([
-        _resample_spectrum(_shifted_bank(masters[k0 : k0 + step], highpass, dtype), window, sizes)
-        for k0 in range(0, len(masters), step)
-    ])
+def _kernel_spectrum(params: ModelParams, rdtype, bank_override: np.ndarray | None = None) -> np.ndarray:
+    """The engine's kernel operand: the complex spectrum (K, n_h, n_w) of the
+    binarized bank, or of ``bank_override`` (centered coordinates), on the
+    small grid of the native window, in the complex dtype of ``rdtype``.
+
+    The bank is built in blocks of kernels whose bank fits
+    ``_BLOCK_BYTES``, so that the full-grid bank is never held whole. matmul
+    runs one GEMM per kernel, so the blocks give the bits of one resample of
+    the whole bank."""
+    window = params.image_hw
+    sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), params.grid) for s in window)
+    if bank_override is not None:
+        bank = scipy.fft.ifftshift(np.asarray(bank_override, dtype=rdtype), axes=(-2, -1))
+        spec = _resample_spectrum(bank, window, sizes)
+    else:
+        masters, highpass = params.fourier_kernels, params.highpass_mask_enabled
+        step = max(1, _BLOCK_BYTES // (masters[0].size * np.dtype(rdtype).itemsize))
+        spec = np.concatenate([
+            _resample_spectrum(_shifted_bank(masters[k0 : k0 + step], highpass, rdtype), window, sizes)
+            for k0 in range(0, len(masters), step)
+        ])
+    return spec.astype(np.result_type(rdtype, np.complex64))
 
 
 def _kernel_gradient(corr: np.ndarray, window: tuple[int, int], g: int) -> np.ndarray:
@@ -449,15 +450,15 @@ def _conv_digital(
     params: ModelParams,
     dtype: str = "float64",
     workers: int = 1,
-    bank_override: np.ndarray | None = None,
     keep_fields: bool = True,
+    kernel_spec: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Intensity |U|^2 and complex field U of every kernel's output window
     (B, K, h, w), and the batch spectrum on the small grid that the backward
     pass correlates against. Without ``keep_fields`` the fields are not
-    written and None stands in their place."""
-    # bank_override substitutes the binarized bank (centered coordinates);
-    # the finite-difference harness perturbs the STE surrogate through it.
+    written and None stands in their place. ``kernel_spec`` is the
+    ``_kernel_spectrum`` of ``params`` in ``dtype``, for callers that reuse
+    it or substitute another bank; it is built here when omitted."""
     rdtype = _real_dtype(dtype)
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
@@ -465,48 +466,31 @@ def _conv_digital(
         bits = bits[None]
     if bits.shape[1:] != (h, w):
         raise ValueError(f"batch {bits.shape} does not match native window {(h, w)}")
-    sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), params.grid) for s in (h, w))
-    if bank_override is None:
-        kernel_spec = _kernel_spectrum(params, (h, w), sizes, rdtype)
-    else:
-        bank = scipy.fft.ifftshift(np.asarray(bank_override, dtype=rdtype), axes=(-2, -1))
-        kernel_spec = _resample_spectrum(bank, (h, w), sizes)
-    spectrum = scipy.fft.fft2(bits, s=sizes, workers=workers)
-    kernel_spec = kernel_spec.astype(spectrum.dtype)  # once, not in every block's multiply
+    if kernel_spec is None:
+        kernel_spec = _kernel_spectrum(params, rdtype)
+    spectrum = scipy.fft.fft2(bits, s=kernel_spec.shape[-2:], workers=workers)
     intensity, fields = _inverse_windows(
         spectrum, kernel_spec, slice(0, h), slice(0, w), rdtype, workers, keep_fields
     )
     return intensity, fields, spectrum
 
 
-def _require_unbinned(noise: NoiseSpec | None) -> None:
+def _require_capturable(
+    bits: np.ndarray, params: ModelParams, config: OpticalConfig, noise: NoiseSpec | None
+) -> None:
+    """The bench's rejections, made before any capture work: camera binning
+    would shrink the feature windows the head reads, kernel pairs need
+    diffraction order 1 on the kernel-side array when K >= 2, and the
+    micromirrors modulate binary amplitude only."""
     if noise is not None and noise.bin_factor > 1:
         raise ValueError(
             f"optical capture needs camera bin_factor 1, got {noise.bin_factor}: "
             "binning would shrink the feature windows the head reads"
         )
-
-
-def _capture_frame(
-    frame: np.ndarray,
-    bank: np.ndarray,
-    config: OpticalConfig,
-    noise: NoiseSpec | None,
-    rng: np.random.Generator | None,
-    workers: int,
-    out: np.ndarray,
-) -> None:
-    """Capture one G x G micromirror frame through every kernel of ``bank``
-    into ``out`` (K, G, G): kernel pairs on diffraction orders 0 and 1 behind
-    an ideal aperture, then the camera model, in kernel order. Every pair
-    multiplies the one input spectrum the frame's plane caches."""
-    plane = FieldPlane.from_bits(frame, config.dmd_pitch)
-    for k0 in range(0, len(bank), 2):
-        pair = list(bank[k0 : k0 + 2])
-        aperture = ideal_aperture(range(len(pair)), frame.shape, config)
-        maps = multi_kernel_forward(plane, pair, config, aperture, workers=workers)
-        for k, m in enumerate(maps, start=k0):
-            out[k] = camera_capture(m, noise, rng=rng)
+    if params.n_kernels >= 2:
+        order_offset_px(1, config)  # kernel pairs use orders 0 and 1
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("micromirror input must be binary (0/1)")
 
 
 def _conv_optical(
@@ -517,25 +501,31 @@ def _conv_optical(
     rng: np.random.Generator | None,
     workers: int = 1,
 ) -> np.ndarray:
-    """Capture each image centred on its own frame and crop the window.
-    Noise-free output matches the digital path to floating-point precision."""
-    _require_unbinned(noise)
-    g = params.grid
-    h, w = params.image_hw
+    """Each image captured on its own frame: the engine's float64 windows
+    through the camera model, gain-normalized per image.
+
+    Behind an ideal aperture each kernel of a pair on diffraction orders 0
+    and 1 gives its single-kernel 4f output, which on the image window is
+    the engine's convolution at the same absolute scale (the two
+    orthonormal lens transforms scale by 1/G^2, as the engine's inverse
+    does), so the camera's dark floor keeps its meaning. The images run in
+    chunks whose windows fit ``_BLOCK_BYTES`` and share one kernel
+    spectrum; the camera draws its noise in the output's order, so the
+    chunks give the bits of one capture of the batch."""
     bits = np.asarray(bits)
     if bits.ndim == 2:
         bits = bits[None]
-    bank = binarized_kernels(params)
-    r0, c0 = (g - h) // 2, (g - w) // 2
+    _require_capturable(bits, params, config, noise)
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
-    frame = np.zeros((g, g), dtype=np.uint8)
-    maps = np.empty((params.n_kernels, g, g))
-    out = np.empty((bits.shape[0], params.n_kernels, h, w))
-    for i, img in enumerate(bits):
-        frame[r0 : r0 + h, c0 : c0 + w] = img
-        _capture_frame(frame, bank, config, noise, rng, workers, maps)
-        out[i] = maps[:, r0 : r0 + h, c0 : c0 + w]
+    kernel_spec = _kernel_spectrum(params, np.float64)
+    out = np.empty((len(bits), params.n_kernels, *params.image_hw))
+    step = _block_images(out.itemsize * math.prod(out.shape[1:]))
+    for s in range(0, len(bits), step):
+        windows, _, _ = _conv_digital(
+            bits[s : s + step], params, "float64", workers, keep_fields=False, kernel_spec=kernel_spec
+        )
+        out[s : s + step] = camera_capture(windows, noise, rng=rng)
     return _normalize_features(out)[0]
 
 
@@ -552,9 +542,10 @@ def conv_fourier_forward(
     """Feature maps of the Fourier convolution layer, one per kernel.
 
     Digital mode computes |IFT(FT(x) * B(w))|^2 per kernel and crops to the
-    native image window; optical mode routes through the diffraction-order
-    path plus camera model. With noise off the two agree to floating point.
-    Outputs are gain-normalized per frame.
+    native image window, in ``dtype``. Optical mode runs the same engine in
+    float64, with the bench's rejections, and passes its windows through
+    the camera model; with noise off it equals digital float64 to floating
+    point. Outputs are gain-normalized per frame.
     """
     _real_dtype(dtype)
     if mode == "digital":
@@ -671,9 +662,10 @@ def _loss_and_grads(
     workers: int,
     bank_override: np.ndarray | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    raw, fields, spectrum = _conv_digital(
-        bits, params, dtype=dtype, workers=workers, bank_override=bank_override
-    )
+    # bank_override substitutes the binarized bank (centered coordinates);
+    # the finite-difference harness perturbs the STE surrogate through it.
+    kernel_spec = _kernel_spectrum(params, _real_dtype(dtype), bank_override)
+    raw, fields, spectrum = _conv_digital(bits, params, dtype, workers, kernel_spec=kernel_spec)
     b, k, h, w = raw.shape
     argmax = raw.reshape(b, -1).argmax(axis=1)  # before the in-place divide: ties as in raw
     feats, peak = _normalize_features(raw)
@@ -842,7 +834,9 @@ def capture_features(
     seed: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
-    """Hardware-surrogate capture: optical-mode conv outputs under noise."""
+    """Hardware-surrogate capture: optical-mode conv outputs under noise,
+    drawn from a generator seeded with ``seed``. The camera draws K*h*w
+    normals per image, on the feature windows alone."""
     rng = np.random.default_rng(seed)
     return _conv_optical(bits, params, config, noise, rng, workers=workers)
 
@@ -965,10 +959,8 @@ def features_tiled(
     g = params.grid
     if layout.frame != (g, g):
         raise ValueError(f"layout frame {layout.frame} must match the {g}-px grid")
-    _require_unbinned(noise)
+    _require_capturable(bits, params, config, noise)
     k = params.n_kernels
-    if k >= 2:
-        order_offset_px(1, config)  # kernel pairs use orders 0 and 1
     h, w = params.image_hw
     gr, gc = layout.grid_rows, layout.grid_cols
     rows = (np.array([layout.cell_origin(r * gc)[0] for r in range(gr)])[:, None] + np.arange(h)).ravel()
@@ -980,10 +972,7 @@ def features_tiled(
     cap = layout.capacity
     for s in range(0, len(bits), cap):
         group = bits[s : s + cap]
-        frame = tile(list(group), layout)
-        if frame.max(initial=0) > 1:
-            raise ValueError("micromirror input must be binary (0/1)")
-        spectrum = scipy.fft.fft2(frame, workers=workers)[None]
+        spectrum = scipy.fft.fft2(tile(list(group), layout), workers=workers)[None]
         windows, _ = _inverse_windows(spectrum, kernel_spec, rows, cols, np.float64, workers, False)
         cells = windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)
         feats[s : s + len(group)] = camera_capture(cells[: len(group)], noise, rng=rng)

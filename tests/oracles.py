@@ -15,8 +15,9 @@ must equal them bitwise. They delegate the kernel resample and its adjoint
 to the implementation; ``resample_spectrum_oracle``, the FFT form those
 dense operators replaced, checks both to rounding.
 
-``features_tiled_oracle`` runs tiled frames through the physics reference in
-``optics``, the path the tiled conv engine replaced.
+``capture_oracle`` and ``features_tiled_oracle`` run single images and tiled
+frames through the physics reference in ``optics``, the paths the conv
+engine replaced in the optical capture.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.fft
 
 from opticonv import network
 from opticonv.datapipe import tile, untile
-from opticonv.optics import FieldPlane, ideal_aperture, multi_kernel_forward
+from opticonv.optics import FieldPlane, camera_capture, ideal_aperture, multi_kernel_forward
 
 
 def centered_dft_matrix(n: int, inverse: bool = False) -> np.ndarray:
@@ -273,27 +274,56 @@ def train_stage1_oracle(dataset, config, params):
 
 
 # ---------------------------------------------------------------------------
-# tiled frames
+# optical capture
+
+
+def _optics_maps(frame: np.ndarray, params, config) -> np.ndarray:
+    """Intensity (K, G, G) of one micromirror frame through every kernel of
+    the binarized bank: kernel pairs on diffraction orders 0 and 1 behind an
+    ideal aperture, in kernel order."""
+    g = params.grid
+    bank = network.binarized_kernels(params)
+    plane = FieldPlane.from_bits(frame, config.dmd_pitch)
+    maps = []
+    for k0 in range(0, len(bank), 2):
+        pair = list(bank[k0 : k0 + 2])
+        aperture = ideal_aperture(range(len(pair)), (g, g), config)
+        maps += multi_kernel_forward(plane, pair, config, aperture)
+    return np.stack(maps)
+
+
+def _unit_peak(feats: np.ndarray) -> np.ndarray:
+    """Normalized to unit peak per image (an all-zero image stays zero: the
+    peak is floored as in the engine)."""
+    peak = np.maximum(feats.reshape(len(feats), -1).max(axis=1), network._NORM_EPS)
+    return feats / peak[:, None, None, None]
+
+
+def capture_oracle(params, bits: np.ndarray, config, noise=None) -> np.ndarray:
+    """Per-image optical features through the optics module: each image
+    centred on a zeroed G x G frame, the frame's kernel maps through the
+    camera model on the full grid, the image window cropped and normalized.
+    ``noise`` must draw no normals (sigma 0): the oracle's camera sees the
+    full frame, so its noise stream differs from the capture's."""
+    assert noise is None or noise.sigma == 0
+    g = params.grid
+    h, w = params.image_hw
+    r0, c0 = (g - h) // 2, (g - w) // 2
+    feats = np.empty((len(bits), params.n_kernels, h, w))
+    for i, img in enumerate(bits):
+        frame = np.zeros((g, g), dtype=np.uint8)
+        frame[r0 : r0 + h, c0 : c0 + w] = img
+        feats[i] = camera_capture(_optics_maps(frame, params, config), noise)[:, r0 : r0 + h, c0 : c0 + w]
+    return _unit_peak(feats)
 
 
 def features_tiled_oracle(params, bits: np.ndarray, layout, config) -> np.ndarray:
-    """Noise-free tiled features through the optics module: each frame as a
-    micromirror plane, kernel pairs on diffraction orders 0 and 1 behind an
-    ideal aperture, the cells' image windows cut out by ``untile`` and
-    normalized to unit peak per image (an all-zero image stays zero: the
-    peak is floored as in the engine)."""
-    g = params.grid
-    bank = network.binarized_kernels(params)
+    """Noise-free tiled features through the optics module: each frame's
+    kernel maps, the cells' image windows cut out by ``untile`` and
+    normalized to unit peak per image."""
     cells = []
     for s in range(0, len(bits), layout.capacity):
         group = bits[s : s + layout.capacity]
-        plane = FieldPlane.from_bits(tile(list(group), layout), config.dmd_pitch)
-        maps = []
-        for k0 in range(0, len(bank), 2):
-            pair = list(bank[k0 : k0 + 2])
-            aperture = ideal_aperture(range(len(pair)), (g, g), config)
-            maps += multi_kernel_forward(plane, pair, config, aperture)
-        cells += untile(np.stack(maps), layout, count=len(group), content_shape=params.image_hw)
-    feats = np.stack(cells)
-    peak = np.maximum(feats.reshape(len(feats), -1).max(axis=1), network._NORM_EPS)
-    return feats / peak[:, None, None, None]
+        maps = _optics_maps(tile(list(group), layout), params, config)
+        cells += untile(maps, layout, count=len(group), content_shape=params.image_hw)
+    return _unit_peak(np.stack(cells))

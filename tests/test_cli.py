@@ -106,6 +106,13 @@ def assert_one_line_usage_error(code, capsys, needle):
     assert len(err) == 1 and needle in err[0]
 
 
+def stage1_checkpoint(cfg: dict, tmp_path: Path) -> Path:
+    """A fresh stage-1 checkpoint of the config document's model shape."""
+    t = cfg["train"]
+    params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"], hidden=t["hidden"])
+    return network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+
+
 class TestFailureContract:
     """Values the library rejects end in exit 1 and one stderr line."""
 
@@ -126,13 +133,23 @@ class TestFailureContract:
         cfg["noise"]["bin_factor"] = 2
         binned = tmp_path / "binned.json"
         binned.write_text(json.dumps(cfg))
-        t = cfg["train"]
-        params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"],
-                                     hidden=t["hidden"])
-        ckpt = network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+        ckpt = stage1_checkpoint(cfg, tmp_path)
         code = run(["--config", binned, "--out-dir", tmp_path / "runs",
                     command[0], ckpt, "--dataset", "mnist", *command[1:]])
         assert_one_line_usage_error(code, capsys, "bin_factor")
+
+    @pytest.mark.parametrize("command", [["finetune"], ["eval", "--mode", "optical"]])
+    def test_order_one_off_the_kernel_array(self, small_config, tmp_path, capsys, command):
+        # kernel pairs put every second kernel on order 1, centred 779 px
+        # out; a 1000-mirror array reaches 500 px either side of order 0
+        cfg = json.loads(small_config.read_text())
+        cfg["optical"] = {"dmd_cols": 1000}
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(cfg))
+        ckpt = stage1_checkpoint(cfg, tmp_path)
+        code = run(["--config", narrow, "--out-dir", tmp_path / "runs",
+                    command[0], ckpt, "--dataset", "mnist", *command[1:]])
+        assert_one_line_usage_error(code, capsys, "order 1")
 
     def test_binned_optical_eval_at_zero_sigma(self, small_config, tmp_path, capsys):
         # the camera model runs at sigma 0 too, so its bin_factor must reach it
@@ -140,10 +157,7 @@ class TestFailureContract:
         cfg["noise"].update(sigma=0.0, bin_factor=2)
         binned = tmp_path / "binned.json"
         binned.write_text(json.dumps(cfg))
-        t = cfg["train"]
-        params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"],
-                                     hidden=t["hidden"])
-        ckpt = network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+        ckpt = stage1_checkpoint(cfg, tmp_path)
         code = run(["--config", binned, "--out-dir", tmp_path / "runs",
                     "eval", ckpt, "--dataset", "mnist", "--mode", "optical", "--limit", 4])
         assert_one_line_usage_error(code, capsys, "bin_factor")

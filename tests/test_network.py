@@ -32,6 +32,7 @@ from opticonv.network import (
 from opticonv.optics import FrameOverflowError, NoiseSpec, OpticalConfig
 
 from oracles import (
+    capture_oracle,
     conv_4f_oracle,
     conv_window_oracle,
     features_tiled_oracle,
@@ -289,6 +290,20 @@ class TestWindowedEngine:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_capture_memory_stays_chunked(self):
+        # the (B, K, h, w) output is 25.7 MB here; the whole batch through
+        # the engine and then the camera peaked at 49.0 MB, and chunks whose
+        # windows fit a block hold one chunk's intermediates besides it
+        params = init_params(seed=0, n_kernels=16, grid=256, image_hw=(28, 28))
+        bits = np.random.default_rng(0).integers(0, 2, (256, 28, 28)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36e6
+
     def test_float32_step_memory(self):
         # one float32 stage-1 step peaked at 55.8 MB while the head and the
         # pool backward ran in float64 and the STE mask had its own buffers
@@ -469,6 +484,22 @@ class TestEngineShapeSweep:
         with mock.patch.object(network, "_BLOCK_BYTES", per_block * g * g * 16):
             got = features_tiled(params, bits, layout, OpticalConfig())
         want = features_tiled_oracle(params, bits, layout, OpticalConfig())
+        assert got.shape == want.shape == (n, k, h, w)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(engine_shapes())
+    def test_capture_matches_optics_oracle(self, shape):
+        h, w, g, k, per_block, n, mask, _, seed = shape
+        params = unmasked_masters(toy_params(seed=seed, grid=g, hw=(h, w), k=k, mask=mask), seed)
+        bits = np.random.default_rng(seed).integers(0, 2, (n, h, w)).astype(np.uint8)
+        # the dark floor bounds the gain where a frame's true output is zero
+        # and rounding noise would be scaled up to unit peak
+        noise = NoiseSpec(dark=1e-6)
+        with mock.patch.object(network, "_BLOCK_BYTES", per_block * k * h * w * 8):
+            got = capture_features(params, bits, OpticalConfig(), noise)
+        want = capture_oracle(params, bits, OpticalConfig(), noise)
         assert got.shape == want.shape == (n, k, h, w)
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -718,6 +749,65 @@ class TestEvaluate:
         assert np.array_equal(np.concatenate(seen), whole)
 
 
+class TestOpticalCapture:
+    """The per-image optical path: the engine's windows through the camera
+    against the optics-module physics reference, and the bench's rejections."""
+
+    @staticmethod
+    def case(grid=63, n=5, k=5):
+        # masked random bank; K=5 leaves the last kernel alone on order 0
+        params = init_params(seed=24, n_kernels=k, grid=grid, image_hw=(8, 8), n_classes=3, hidden=8)
+        return params, toy_batch(24, n=n)[0]
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(dark=1e-4)], ids=["clean", "dark"])
+    @pytest.mark.parametrize("grid", [63, 64])
+    def test_matches_optics_oracle(self, grid, noise):
+        # the dark floor is added before the gain, so it pins the absolute
+        # intensity scale the camera sees
+        params, bits = self.case(grid)
+        got = capture_features(params, bits, OpticalConfig(), noise)
+        want = capture_oracle(params, bits, OpticalConfig(), noise)
+        assert got.shape == want.shape == (5, 5, 8, 8)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("value", [2, 0.5, -1])
+    def test_non_binary_input_rejected(self, value):
+        # a uint8 frame would truncate 0.5 to a valid 0
+        params, bits = self.case()
+        bits = bits.astype(np.float64)
+        bits[3, 2, 2] = value
+        with pytest.raises(ValueError, match="binary"):
+            capture_features(params, bits, OpticalConfig(), None)
+
+    def test_order_one_off_the_array_rejected(self):
+        params, bits = self.case()
+        narrow = OpticalConfig(dmd_cols=1000)  # order 1 centred 779 px out
+        with pytest.raises(FrameOverflowError):
+            capture_features(params, bits, narrow, None)
+        one, _ = self.case(k=1)
+        assert capture_features(one, bits, narrow, None).shape == (5, 1, 8, 8)  # order 0 only
+
+    def test_noise_has_the_specified_sigma(self):
+        # as TestTiled's: per image the noisy-to-clean ratio, over its mean,
+        # spreads by sigma
+        params, bits = self.case(grid=64, n=27)
+        sigma = 0.1
+        clean = capture_features(params, bits, OpticalConfig(), None)
+        noisy = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=sigma), seed=7)
+        spread = []
+        for c, n in zip(clean, noisy):
+            r = n[c > 0.01] / c[c > 0.01]
+            spread.append(r / r.mean() - 1.0)
+        assert abs(np.std(np.concatenate(spread)) / sigma - 1.0) <= 0.1
+
+    def test_chunks_give_the_bits_of_one_capture(self, monkeypatch):
+        params, bits = self.case()
+        noise = NoiseSpec(sigma=0.1, dark=1e-4)
+        whole = capture_features(params, bits, OpticalConfig(), noise, seed=3)
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 8 * 8 * 8)  # chunks of 2 + 2 + 1
+        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, seed=3), whole)
+
+
 class TestTiled:
     def test_tiled_windows_transparent_on_all_pass_path(self):
         # all-pass kernels: window extraction must reproduce each input
@@ -774,6 +864,14 @@ class TestTiled:
     def test_non_binary_input_rejected(self):
         params, bits, layout = self.odd_case()
         bits[3, 2, 2] = 2
+        with pytest.raises(ValueError, match="binary"):
+            features_tiled(params, bits, layout, OpticalConfig())
+
+    def test_fractional_input_rejected(self):
+        # tile() writes a uint8 frame, which would truncate 0.5 to a valid 0
+        params, bits, layout = self.odd_case()
+        bits = bits.astype(np.float64)
+        bits[3, 2, 2] = 0.5
         with pytest.raises(ValueError, match="binary"):
             features_tiled(params, bits, layout, OpticalConfig())
 
