@@ -73,17 +73,6 @@ class TrainSection:
 
 
 @dataclass(frozen=True)
-class NoiseSection:
-    sigma: float = 0.1
-    dark: float = 0.0
-    bin_factor: int = 1
-    seed: int = 1
-
-    def to_spec(self) -> NoiseSpec:
-        return NoiseSpec(self.sigma, self.dark, self.bin_factor, self.seed)
-
-
-@dataclass(frozen=True)
 class PerfSection:
     presets: tuple[str, ...] = ("Gen1.0", "Gen1.1", "Gen1.2", "Gen1.3")
     modes: tuple[str, ...] = ("fft", "brute")
@@ -106,19 +95,9 @@ class RunConfig:
     optical: OpticalConfig = OpticalConfig()
     quantize: QuantizeConfig = QuantizeConfig()
     train: TrainSection = TrainSection()
-    noise: NoiseSection = NoiseSection()
+    noise: NoiseSpec = NoiseSpec(sigma=0.1, seed=1)
     perf: PerfSection = PerfSection()
     paths: PathsSection = PathsSection()
-
-
-_SECTION_TYPES = {
-    "optical": OpticalConfig,
-    "quantize": QuantizeConfig,
-    "train": TrainSection,
-    "noise": NoiseSection,
-    "perf": PerfSection,
-    "paths": PathsSection,
-}
 
 
 # JSON value types accepted for each annotated field type; bool is an int
@@ -144,18 +123,20 @@ def _check_type(value, type_name: str, where: str) -> None:
         raise UsageError(f"config key {where} must be finite, got {json.dumps(value)}")
 
 
-def _build_section(cls, doc: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
+def _build_section(default, doc: dict, where: str):
+    """``default`` (the section as ``RunConfig`` sets it) with ``doc``'s keys
+    laid over it, so a key the document leaves out keeps the config default."""
+    allowed = {f.name for f in fields(default)}
     unknown = set(doc) - allowed
     if unknown:
         raise UsageError(f"unknown config key(s) {sorted(unknown)} in section {where!r}")
     coerced = dict(doc)
-    for f in fields(cls):
+    for f in fields(default):
         if f.name in coerced:
             _check_type(coerced[f.name], f.type, f"{where}.{f.name}")
             if f.type == "tuple[str, ...]":
                 coerced[f.name] = tuple(coerced[f.name])
-    return cls(**coerced)
+    return replace(default, **coerced)
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
@@ -168,6 +149,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     unknown = set(doc) - allowed
     if unknown:
         raise UsageError(f"unknown top-level config key(s): {sorted(unknown)}")
+    defaults = RunConfig()
     kwargs = {}
     for key, value in doc.items():
         if key == "seed":
@@ -176,7 +158,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         else:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
+            kwargs[key] = _build_section(getattr(defaults, key), value, key)
     cfg = RunConfig(**kwargs)
     _train_config(cfg)  # the library's own range checks, before any run directory exists
     return cfg
@@ -276,7 +258,7 @@ def _train_config(cfg: RunConfig) -> network.TrainConfig:
         epochs_stage1=t.epochs_stage1,
         epochs_stage2=t.epochs_stage2,
         seed=cfg.seed,
-        noise=cfg.noise.to_spec(),
+        noise=cfg.noise,
         grid=t.grid,
         dtype=t.dtype,
     )
@@ -320,7 +302,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
     tconf = _train_config(cfg)
     _log(f"capturing {len(bits)} optical-path outputs (sigma={cfg.noise.sigma})")
     captured = network.capture_features(
-        params, bits, cfg.optical, cfg.noise.to_spec(), seed=cfg.seed, workers=args.threads
+        params, bits, cfg.optical, cfg.noise, seed=cfg.seed, workers=args.threads
     )
     params, trace = network.finetune_stage2(params, (captured, labels), tconf)
     ckpt = network.save_checkpoint(params, run_dir / "stage2.ckpt", stage=2, seed=cfg.seed)
@@ -344,7 +326,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.limit:
         bits, labels = bits[: args.limit], labels[: args.limit]
     result = network.evaluate(
-        params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise.to_spec(),
+        params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise,
         workers=args.threads,
     )
     metrics = {
@@ -429,9 +411,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     kernels = list(bank)
     aperture = ideal_aperture(range(len(kernels)), (g, g), cfg.optical)
     outputs = multi_kernel_forward(plane, kernels, cfg.optical, aperture)
-    noise = cfg.noise.to_spec()
     rng = np.random.default_rng(cfg.seed)
-    outputs = [camera_capture(o, noise, rng=rng) for o in outputs]
+    outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]
 
     pitch = cfg.optical.dmd_pitch
     fieldio.write_pgm(frame, run_dir / "input.pgm")
@@ -457,7 +438,6 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def cmd_perf(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args.out_dir, cfg, "perf")
     presets = [
         perfmodel.generation_preset(name, high_res=cfg.perf.high_res)
         for name in cfg.perf.presets
@@ -471,6 +451,7 @@ def cmd_perf(args, cfg: RunConfig) -> int:
             )
         )
     rows = perfmodel.sweep_report(presets, modes=cfg.perf.modes)
+    run_dir = _run_dir(args.out_dir, cfg, "perf")
     csv_path = perfmodel.write_report_csv(rows, run_dir / "perf.csv")
     json_path = perfmodel.write_report_json(rows, run_dir / "perf.json")
     _log(f"{len(rows)} report rows -> {csv_path}, {json_path}")
@@ -487,28 +468,34 @@ def cmd_perf(args, cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
+    def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
+        raise UsageError(f"{message} (see '{self.prog} -h')")
 
 
-def _limit(text: str) -> int:
-    """``--limit`` value: a count of images, 0 for all of them."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all images), got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_limit = _int_at_least(0)  # a count of images, 0 for all of them
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="opticonv", description=__doc__)
     p.add_argument("--config", help="JSON config document")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="override config seed")
     p.add_argument("--out-dir", default="runs", help="root directory for run artifacts")
-    p.add_argument("--threads", type=int, default=1, help="FFT worker threads")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="FFT worker threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("quantize", help="bit-plane quantization + SSIM summary")
@@ -539,7 +526,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", help="single-frame end-to-end optical dump")
     s.add_argument("image", help="input pattern (.npy or binary P5 graymap)")
-    s.add_argument("--kernels", type=int, default=1, help="parallel kernel count")
+    s.add_argument("--kernels", type=_int_at_least(1), default=1, help="parallel kernel count")
     s.add_argument("--checkpoint", help="take kernels from a trained checkpoint")
     s.add_argument("--windows", help="untile outputs as RxC windows, e.g. 7x7")
     s.set_defaults(fn=cmd_simulate)

@@ -117,10 +117,6 @@ class BitPlaneStack:
             raise ValueError("thresholds/channel_of_plane length mismatch")
         object.__setattr__(self, "planes", planes)
 
-    @property
-    def n_channels(self) -> int:
-        return self.source_shape[2]
-
     def planes_of_channel(self, channel: int) -> np.ndarray:
         idx = [i for i, c in enumerate(self.channel_of_plane) if c == channel]
         return self.planes[idx]
@@ -286,15 +282,14 @@ def make_layout(
     gap_px: int = MIN_CONTENT_GAP,
     grid: tuple[int, int] | None = None,
     frame: tuple[int, int] | None = None,
-    strict_separation: bool = True,
 ) -> TileLayout:
     """Pack the largest grid of tiles for ``dataset_kind`` into the frame.
 
     ``padding=1`` gives content-sized tiles separated by ``gap_px`` (the
     experiment geometry); ``padding=2`` folds the separation into the cell
     (the throughput-accounting geometry, 168x168 cells for 28x28 sources).
-    ``strict_separation`` rejects layouts whose content separation falls
-    below the 30 px crosstalk floor on both axes.
+    Layouts whose content separation falls below the 30 px crosstalk floor
+    on both axes are rejected.
     """
     if dataset_kind not in DATASET_GEOMETRY:
         raise ValueError(f"unknown dataset geometry {dataset_kind!r}")
@@ -306,14 +301,13 @@ def make_layout(
     tile_px = (rows * s * padding, cols * s * max(padding, config.horizontal_expand))
     if frame is None:
         frame = (config.dmd_rows, config.dmd_cols)
-    if strict_separation:
-        sep_rows = tile_px[0] - content[0] + gap_px
-        sep_cols = tile_px[1] - content[1] + gap_px
-        if max(sep_rows, sep_cols) < MIN_CONTENT_GAP:
-            raise ValueError(
-                f"content separation {min(sep_rows, sep_cols)} px below the "
-                f"{MIN_CONTENT_GAP} px crosstalk floor; widen gap_px or padding"
-            )
+    sep_rows = tile_px[0] - content[0] + gap_px
+    sep_cols = tile_px[1] - content[1] + gap_px
+    if max(sep_rows, sep_cols) < MIN_CONTENT_GAP:
+        raise ValueError(
+            f"content separation {min(sep_rows, sep_cols)} px below the "
+            f"{MIN_CONTENT_GAP} px crosstalk floor; widen gap_px or padding"
+        )
     if grid is None:
         grid = (
             (frame[0] + gap_px) // (tile_px[0] + gap_px),

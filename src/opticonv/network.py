@@ -59,6 +59,8 @@ STE_CLIP = 1.0
 
 _NORM_EPS = 1e-30
 
+_PREDICT_BATCH = 256  # images per conv pass in predict and evaluate
+
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 # Bytes of one block of spectra that the conv engine multiplies, transforms
@@ -148,6 +150,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _real_dtype(self.dtype)
 
 
@@ -903,15 +907,14 @@ def predict(
     config: OpticalConfig | None = None,
     noise: NoiseSpec | None = None,
     dtype: str = "float64",
-    batch_size: int = 256,
     workers: int = 1,
 ) -> np.ndarray:
     # One noise stream across batches, so no two batches see the same draws.
     rng = None if noise is None else np.random.default_rng(noise.seed)
     out = []
-    for s in range(0, len(bits), batch_size):
+    for s in range(0, len(bits), _PREDICT_BATCH):
         feats = conv_fourier_forward(
-            bits[s : s + batch_size], params, mode=mode, config=config, noise=noise,
+            bits[s : s + _PREDICT_BATCH], params, mode=mode, config=config, noise=noise,
             rng=rng, dtype=dtype, workers=workers,
         )
         out.append(head_forward(feats, params).argmax(axis=1))
@@ -925,12 +928,11 @@ def evaluate(
     config: OpticalConfig | None = None,
     noise: NoiseSpec | None = None,
     dtype: str = "float32",
-    batch_size: int = 256,
     workers: int = 1,
 ) -> EvalResult:
     """Top-1 accuracy and per-class confusion on a (bits, labels) split."""
     bits, labels = dataset
-    preds = predict(params, bits, mode, config, noise, dtype, batch_size, workers)
+    preds = predict(params, bits, mode, config, noise, dtype, workers)
     return _score(preds, labels, params.n_classes)
 
 

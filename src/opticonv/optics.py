@@ -17,6 +17,11 @@ with a coordinate inversion; here the inverse transform is used for the second
 lens by default, which is the same field up to that inversion, so an all-pass
 kernel reproduces the input in its original orientation. Pass
 ``flip_normalize=False`` to keep the physical inversion.
+
+This module is the physics reference: the test oracles, the ``simulate``
+command and the benchmark's probes run it, one plane at a time. Training,
+evaluation and optical capture run on the batched transform engine in
+``network``, which also owns the FFT worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "FieldPlane",
     "ApertureMask",
     "NoiseSpec",
-    "PAPER_BENCH",
     "cft2",
     "icft2",
     "fourier_plane_px",
@@ -82,23 +86,17 @@ class OpticalConfig:
             raise ValueError("horizontal_expand must be a positive integer")
 
 
-#: Bench constants of the reference system (450 nm, f = 100 mm, 7.6 um pitch,
-#: 1920x1080 mirrors, 3x3 superpixel, 57 deg incidence, 12 deg mirror tilt).
-PAPER_BENCH = OpticalConfig()
-
-
 @dataclass(frozen=True)
 class FieldPlane:
     """A 2D complex field sampled on a uniform grid with physical pitch.
 
     The plane owns a read-only complex128 copy of the amplitude, so the
-    spectra it caches cannot go stale.
+    spectrum it caches cannot go stale.
     """
 
     amplitude: np.ndarray
     pitch: float
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _unshifted: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitude, dtype=np.complex128)
@@ -111,34 +109,14 @@ class FieldPlane:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
 
-    def spectrum(self, workers: int = 1) -> np.ndarray:
+    def spectrum(self) -> np.ndarray:
         """``cft2`` of the amplitude (the first lens's output), computed on
-        first use and shared by every kernel that multiplies it; read-only.
-        Worker count does not change its bits."""
+        first use and shared by every kernel that multiplies it; read-only."""
         if self._spectrum is None:
-            spec = cft2(self.amplitude, workers=workers)
+            spec = cft2(self.amplitude)
             spec.flags.writeable = False
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
-
-    def unshifted_spectrum(self, workers: int = 1) -> np.ndarray:
-        """``fft2(ifftshift(amplitude), norm="ortho")``: the spectrum before
-        its outer ``fftshift``, in the order an unshifted inverse transform
-        reads. Cached and read-only like ``spectrum``, and formed from it
-        (the shifts are inverse permutations, so the bits are the same)."""
-        if self._unshifted is None:
-            spec = scipy.fft.ifftshift(self.spectrum(workers), axes=(-2, -1))
-            spec.flags.writeable = False
-            object.__setattr__(self, "_unshifted", spec)
-        return self._unshifted
-
-    @property
-    def height(self) -> int:
-        return self.amplitude.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.amplitude.shape[1]
 
     @classmethod
     def from_bits(cls, bits: np.ndarray, pitch: float) -> "FieldPlane":
@@ -198,26 +176,26 @@ class NoiseSpec:
             raise ValueError(f"dark floor must be finite and non-negative, got {self.dark}")
         if self.bin_factor < 1:
             raise ValueError("bin factor must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
 # transforms
 
 
-def cft2(field: np.ndarray, workers: int = 1) -> np.ndarray:
+def cft2(field: np.ndarray) -> np.ndarray:
     """Centered unitary 2D Fourier transform (lens transform of this model)."""
     return scipy.fft.fftshift(
-        scipy.fft.fft2(scipy.fft.ifftshift(field, axes=(-2, -1)), norm="ortho", workers=workers),
-        axes=(-2, -1),
+        scipy.fft.fft2(scipy.fft.ifftshift(field, axes=(-2, -1)), norm="ortho"), axes=(-2, -1)
     )
 
 
-def icft2(field: np.ndarray, workers: int = 1) -> np.ndarray:
+def icft2(field: np.ndarray) -> np.ndarray:
     """Centered unitary inverse transform; equals ``cft2`` composed with the
     coordinate inversion a second lens pass would otherwise leave behind."""
     return scipy.fft.fftshift(
-        scipy.fft.ifft2(scipy.fft.ifftshift(field, axes=(-2, -1)), norm="ortho", workers=workers),
-        axes=(-2, -1),
+        scipy.fft.ifft2(scipy.fft.ifftshift(field, axes=(-2, -1)), norm="ortho"), axes=(-2, -1)
     )
 
 
@@ -292,26 +270,11 @@ def _check_kernel(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return kernel
 
 
-def _ifftshift_stack(kernels: Sequence[np.ndarray]) -> np.ndarray:
-    """``ifftshift(np.stack(kernels), axes=(-2, -1))`` in one pass: each
-    kernel's quadrants are copied straight to their shifted places."""
-    h, w = kernels[0].shape
-    r, c = h - h // 2, w - w // 2  # ifftshift moves row h // 2 to row 0
-    out = np.empty((len(kernels), h, w))
-    for dst, kern in zip(out, kernels):
-        dst[:r, :c] = kern[h - r :, w - c :]
-        dst[:r, c:] = kern[h - r :, : w - c]
-        dst[r:, :c] = kern[: h - r, w - c :]
-        dst[r:, c:] = kern[: h - r, : w - c]
-    return out
-
-
 def forward_4f(
     input_plane: FieldPlane,
     kernel: np.ndarray,
     config: OpticalConfig,
     flip_normalize: bool = True,
-    workers: int = 1,
 ) -> np.ndarray:
     """One pass through the 4f path, returning camera-plane intensity.
 
@@ -321,9 +284,9 @@ def forward_4f(
     |field|^2 per pixel in double precision.
     """
     kernel = _check_kernel(kernel, input_plane.amplitude.shape)
-    filtered = input_plane.spectrum(workers) * kernel
+    filtered = input_plane.spectrum() * kernel
     second = icft2 if flip_normalize else cft2
-    out_field = second(filtered, workers=workers)
+    out_field = second(filtered)
     intensity = np.abs(out_field) ** 2
     if not np.all(np.isfinite(intensity)):
         raise FloatingPointError("numerical failure: non-finite intensity in 4f path")
@@ -355,7 +318,6 @@ def multi_kernel_forward(
     config: OpticalConfig,
     aperture: ApertureMask | None,
     orders: Sequence[int] | None = None,
-    workers: int = 1,
 ) -> list[np.ndarray]:
     """Simultaneous convolution with one kernel per diffraction order.
 
@@ -402,25 +364,18 @@ def multi_kernel_forward(
             f"aperture declares {len(aperture.open_regions)} regions for {k} kernels"
         )
 
-    # icft2 of every filtered replica in one batched transform. Its shifts
-    # are permutations: the inner one is taken by multiplying the unshifted
-    # spectrum by the kernels stacked in ifftshift order, the outer one is
-    # applied to the intensity.
-    filtered = input_plane.unshifted_spectrum(workers) * _ifftshift_stack(kernels)
-    fields = scipy.fft.ifft2(filtered, norm="ortho", overwrite_x=True, workers=workers)
-
-    if aperture is not None:
-        # Open region j passes only window j's bundle; parasitic paths are
-        # blocked, so each channel reduces exactly to the single-kernel pass.
-        intensity = np.abs(fields) ** 2
-    else:
-        # Without the aperture the re-diffraction replica of every window
-        # lands on every camera window; at unit weights each window sees the
-        # same coherent sum.
-        intensity = np.broadcast_to(np.abs(sum(fields)) ** 2, fields.shape)
+    # Every filtered replica through the second lens in one batched transform.
+    fields = icft2(input_plane.spectrum() * np.stack(kernels))
+    # With the aperture, open region j passes only window j's bundle, so each
+    # channel reduces exactly to the single-kernel pass. Without it the
+    # re-diffraction replica of every window lands on every camera window;
+    # at unit weights each window sees the same coherent sum.
+    if aperture is None:
+        fields = np.broadcast_to(sum(fields), fields.shape)
+    intensity = np.abs(fields) ** 2  # a fresh array: the outputs stay separate
     if not np.all(np.isfinite(intensity)):
         raise FloatingPointError("numerical failure: non-finite intensity")
-    return list(scipy.fft.fftshift(intensity, axes=(-2, -1)))
+    return list(intensity)
 
 
 def camera_capture(

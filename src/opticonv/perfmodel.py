@@ -88,8 +88,10 @@ class PerfScenario:
             v = getattr(self, name)
             if int(v) != v or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v}")
-        if self.frame_rate_hz <= 0 or self.power_w <= 0:
-            raise ValueError("frame rate and power must be positive")
+        for name in ("frame_rate_hz", "power_w"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,12 @@ def ops_per_watt_brute(s: PerfScenario) -> float:
     return ops * s.input_parallelism * s.frame_rate_hz * s.kernel_parallelism / s.power_w
 
 
-def dram_power_w(s: PerfScenario, bytes_per_pixel: float = 1.0) -> float:
+def dram_power_w(s: PerfScenario) -> float:
     """I/O memory-energy term: every input and output pixel charged one DRAM
-    access. Orders of magnitude below the device power at the presets, which
-    is why the OPS/W formulas neglect it."""
+    byte access. Orders of magnitude below the device power at the presets,
+    which is why the OPS/W formulas neglect it."""
     pixels = s.image_rows * s.image_cols * s.input_parallelism
-    traffic = 2 * pixels * bytes_per_pixel * s.frame_rate_hz  # in + out, bytes/s
+    traffic = 2 * pixels * s.frame_rate_hz  # in + out, bytes/s
     return traffic * DRAM_PJ_PER_BYTE * 1e-12
 
 
@@ -268,12 +270,11 @@ def custom_scenario(
     frame_rate_hz: float = 1.0,
     power_w: float = DEFAULT_POWER_W,
     label: str = "custom",
-    pipeline_hz: Mapping[str, float] | None = None,
 ) -> GenerationPreset:
     """Wrap ad-hoc parameters as a preset so they can join a sweep."""
     scenario = PerfScenario(
         image_rows, image_cols, kernel_rows, kernel_cols,
         input_parallelism, kernel_parallelism, frame_rate_hz, power_w, label,
     )
-    pipeline = dict(pipeline_hz) if pipeline_hz else {"dmd": DMD_MAX_HZ, "camera": CAMERA_SOFTWARE_HZ}
+    pipeline = {"dmd": DMD_MAX_HZ, "camera": CAMERA_SOFTWARE_HZ}
     return GenerationPreset(name=label, scenario=scenario, pipeline_hz=pipeline)

@@ -85,10 +85,25 @@ class TestConfig:
             reads.visit(ast.parse(path.read_text()))
         sections = [f.default for f in dataclasses.fields(cli.RunConfig)
                     if dataclasses.is_dataclass(f.default)]
-        assert {type(s).__name__ for s in sections} >= {"OpticalConfig", "NoiseSection"}
+        assert {type(s).__name__ for s in sections} >= {"OpticalConfig", "NoiseSpec"}
         unread = [f"{type(s).__name__}.{f.name}" for s in sections
                   for f in dataclasses.fields(s) if f.name not in reads.names]
         assert unread == []
+
+    def test_default_digests_pinned(self):
+        # run directories are named by these digests
+        want = {"quantize": "c91242115996", "train": "122e36bc1916", "finetune": "f3f512e39bc9",
+                "eval": "4184610b258d", "simulate": "5904d986f411", "perf": "c7d588fc5921"}
+        assert {cmd: cli.config_digest(cli.RunConfig(), cmd) for cmd in want} == want
+
+    def test_partial_noise_section_keeps_config_defaults(self, tmp_path):
+        # keys left out take RunConfig's noise defaults, not the library NoiseSpec's
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"noise": {"dark": 1e-4}}))
+        cfg = cli.load_run_config(path)
+        assert (cfg.noise.sigma, cfg.noise.dark, cfg.noise.bin_factor, cfg.noise.seed) == (
+            0.1, 1e-4, 1, 1)
+        assert cli.config_digest(cfg, "eval") == "97ed264e2f1a"
 
     @pytest.mark.parametrize("doc", [{"layout": {"gap_px": 30}},
                                      {"optical": {"incidence_angle": 57.0}}],
@@ -119,6 +134,30 @@ class TestFailureContract:
     def test_bad_custom_perf_scenario(self, tmp_path, capsys):
         code = run(["--out-dir", tmp_path, "perf", "--custom", 28, 28, 0, 1, 10])
         assert_one_line_usage_error(code, capsys, "input_parallelism")
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_custom_perf_rate(self, tmp_path, capsys, rate):
+        # perf.json would carry Infinity or NaN, which is not JSON
+        out_dir = tmp_path / "runs"
+        code = run(["--out-dir", out_dir, "perf", "--custom", 10, 10, 1, 1, rate])
+        assert_one_line_usage_error(code, capsys, "frame_rate_hz")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--threads", 0, "train", "--dataset", "mnist"], "--threads"),
+        (["--seed", -1, "train", "--dataset", "mnist"], "--seed"),
+        (["--seed", "x", "perf"], "--seed"),
+        (["simulate", "IMG", "--kernels", 0], "--kernels"),
+        (["simulate", "IMG", "--kernels", -1], "--kernels"),
+    ], ids=["threads-0", "seed-negative", "seed-text", "kernels-0", "kernels-negative"])
+    def test_integer_flag_rejected(self, small_config, tmp_path, capsys, argv, needle):
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((16, 16), np.uint8))
+        out_dir = tmp_path / "runs"
+        argv = [img_path if a == "IMG" else a for a in argv]
+        code = run(["--config", small_config, "--out-dir", out_dir, *argv])
+        assert_one_line_usage_error(code, capsys, needle)
+        assert not out_dir.exists()
 
     def test_too_many_simulated_kernels(self, small_config, tmp_path, capsys):
         img_path = tmp_path / "digit.npy"
@@ -205,6 +244,8 @@ class TestFailureContract:
         ("optical", "dmd_cols", 1920.5, "optical.dmd_cols"),
         ("perf", "modes", ["fft", 3], "perf.modes"),
         (None, "seed", 1.5, "seed"),
+        (None, "seed", -1, "seed"),
+        ("noise", "seed", -1, "noise seed"),
         ("noise", "sigma", float("nan"), "noise.sigma"),
         ("noise", "dark", float("inf"), "noise.dark"),
         ("noise", "dark", -1.0, "dark floor"),

@@ -741,8 +741,8 @@ class TestEvaluate:
             return head(features, p)
 
         monkeypatch.setattr(network, "head_forward", recording_head)
-        network.predict(params, bits, mode="optical", config=OpticalConfig(), noise=noise,
-                        batch_size=4)
+        monkeypatch.setattr(network, "_PREDICT_BATCH", 4)
+        network.predict(params, bits, mode="optical", config=OpticalConfig(), noise=noise)
         assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
         whole = conv_fourier_forward(bits, params, mode="optical", config=OpticalConfig(),
                                      noise=noise, rng=np.random.default_rng(noise.seed))

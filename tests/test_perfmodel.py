@@ -40,6 +40,9 @@ class TestScenario:
     @pytest.mark.parametrize("bad", [
         dict(image_rows=0), dict(kernel_cols=-3), dict(input_parallelism=0),
         dict(frame_rate_hz=0.0), dict(power_w=-1.0), dict(kernel_parallelism=2.5),
+        # NaN <= 0 is False, so a sign test alone lets NaN through
+        dict(frame_rate_hz=float("nan")), dict(frame_rate_hz=float("inf")),
+        dict(power_w=float("nan")), dict(power_w=float("inf")),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
