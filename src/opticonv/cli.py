@@ -9,7 +9,9 @@ only in log lines).
 
 Exit codes: 0 success, 1 usage error (including a flag or config value the
 library rejects), 2 data/format error, 3 numerical failure. Each failure
-prints one line on stderr.
+prints one line on stderr. A command makes its run directory just before it
+writes its first file, once its inputs have loaded and been checked, so a
+command that fails on its inputs leaves none behind.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ class UsageError(Exception):
 class QuantizeConfig:
     levels: int = 4
     threshold_frac: float = 0.8
+
+    def __post_init__(self) -> None:
+        if self.levels < 1:
+            raise ValueError(f"quantize.levels must be >= 1, got {self.levels}")
+        if not 0 < self.threshold_frac < 1:
+            raise ValueError(f"quantize.threshold_frac must be in (0, 1), got {self.threshold_frac}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +211,12 @@ def _binarize_split(images: np.ndarray, threshold_frac: float) -> np.ndarray:
 
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args.out_dir, cfg, "quantize")
     ds = _load_dataset(args.dataset, cfg)
     images = ds.test_images if args.split == "test" else ds.train_images
     limit = args.limit if args.limit else len(images)
     images = images[:limit]
     levels = args.levels if args.levels is not None else cfg.quantize.levels
+    run_dir = _run_dir(args.out_dir, cfg, "quantize")
     grayscale = images.ndim == 3
     scores = []
     manifest_rows = []
@@ -265,7 +273,6 @@ def _train_config(cfg: RunConfig) -> network.TrainConfig:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args.out_dir, cfg, "train")
     ds = _load_dataset(args.dataset, cfg)
     bits = _binarize_split(ds.train_images, cfg.quantize.threshold_frac)
     labels = ds.train_labels
@@ -286,6 +293,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         (bits, labels), tconf, params=params, n_classes=ds.n_classes,
         workers=args.threads, log_every=args.log_every,
     )
+    run_dir = _run_dir(args.out_dir, cfg, "train")
     ckpt = network.save_checkpoint(params, run_dir / "stage1.ckpt", stage=1, seed=cfg.seed)
     network.write_trace_csv(trace, run_dir / "trace.csv")
     _log(f"checkpoint -> {ckpt}")
@@ -294,7 +302,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_finetune(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args.out_dir, cfg, "finetune")
     params, header = network.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.dataset, cfg)
     bits = _binarize_split(ds.train_images[: cfg.train.capture_n], cfg.quantize.threshold_frac)
@@ -305,6 +312,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
         params, bits, cfg.optical, cfg.noise, seed=cfg.seed, workers=args.threads
     )
     params, trace = network.finetune_stage2(params, (captured, labels), tconf)
+    run_dir = _run_dir(args.out_dir, cfg, "finetune")
     ckpt = network.save_checkpoint(params, run_dir / "stage2.ckpt", stage=2, seed=cfg.seed)
     network.write_trace_csv(trace, run_dir / "trace.csv")
     _log(f"checkpoint -> {ckpt}")
@@ -313,7 +321,6 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args.out_dir, cfg, "eval")
     params, header = network.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.dataset, cfg)
     if ds.test_images.shape[1:3] != params.image_hw:
@@ -336,6 +343,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "accuracy": result.accuracy,
         "confusion": result.confusion.tolist(),
     }
+    run_dir = _run_dir(args.out_dir, cfg, "eval")
     (run_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(f"{args.dataset}  accuracy {result.accuracy * 100:.2f}%  ({result.n_samples} samples)")
     return EXIT_OK
@@ -396,7 +404,6 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         raise DataFormatError(f"image {img.shape} exceeds the {g}-px simulation grid")
     if args.windows:
         rows, cols = _parse_windows(args.windows, img.shape)
-    run_dir = _run_dir(args.out_dir, cfg, "simulate")
     bits = (img > 0).astype(np.uint8)
     frame = np.zeros((g, g), dtype=np.uint8)
     r0, c0 = (g - bits.shape[0]) // 2, (g - bits.shape[1]) // 2
@@ -405,6 +412,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
     if args.checkpoint:
         params, _ = network.load_checkpoint(args.checkpoint)
+        if args.kernels > params.n_kernels:
+            raise UsageError(
+                f"--kernels {args.kernels} exceeds the checkpoint's bank of {params.n_kernels} kernels"
+            )
         bank = network.binarized_kernels(params)[: args.kernels]
     else:
         bank = np.ones((args.kernels, g, g))
@@ -414,6 +425,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]
 
+    run_dir = _run_dir(args.out_dir, cfg, "simulate")
     pitch = cfg.optical.dmd_pitch
     fieldio.write_pgm(frame, run_dir / "input.pgm")
     fieldio.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
@@ -445,10 +457,7 @@ def cmd_perf(args, cfg: RunConfig) -> int:
     if args.custom:
         m, n, i, k, f = args.custom
         presets.append(
-            perfmodel.custom_scenario(
-                int(m), int(n), input_parallelism=int(i), kernel_parallelism=int(k),
-                frame_rate_hz=float(f),
-            )
+            perfmodel.custom_scenario(m, n, input_parallelism=i, kernel_parallelism=k, frame_rate_hz=f)
         )
     rows = perfmodel.sweep_report(presets, modes=cfg.perf.modes)
     run_dir = _run_dir(args.out_dir, cfg, "perf")
@@ -490,6 +499,25 @@ def _int_at_least(low: int):
 _limit = _int_at_least(0)  # a count of images, 0 for all of them
 
 
+class _CustomScenario(argparse.Action):
+    """``perf --custom M N I K F``: four integers and a finite frame rate;
+    anything else is a usage error that names the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        *counts, rate = values
+        try:
+            counts = [int(v) for v in counts]
+        except ValueError:
+            raise argparse.ArgumentError(self, f"M N I K must be integers, got {' '.join(counts)}") from None
+        try:
+            value = float(rate)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentError(self, f"F (frame_rate_hz) must be a finite number, got {rate!r}")
+        setattr(namespace, self.dest, (*counts, value))
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="opticonv", description=__doc__)
     p.add_argument("--config", help="JSON config document")
@@ -501,7 +529,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("quantize", help="bit-plane quantization + SSIM summary")
     q.add_argument("--dataset", required=True, choices=("mnist", "cifar10", "quickdraw"))
     q.add_argument("--split", default="test", choices=("train", "test"))
-    q.add_argument("--levels", type=int, default=None,
+    q.add_argument("--levels", type=_int_at_least(1), default=None,
                    help="threshold-ladder levels; omit for grayscale threshold mode")
     q.add_argument("--limit", type=_limit, default=100, help="max images to export, 0 = all")
     q.set_defaults(fn=cmd_quantize)
@@ -509,7 +537,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="stage-1 noise-free training")
     t.add_argument("--dataset", required=True, choices=("mnist", "cifar10", "quickdraw"))
     t.add_argument("--no-highpass", action="store_true", help="disable the center-3x3 kernel mask")
-    t.add_argument("--log-every", type=int, default=0)
+    t.add_argument("--log-every", type=_int_at_least(0), default=0, help="steps between log lines, 0 = none")
     t.set_defaults(fn=cmd_train)
 
     ft = sub.add_parser("finetune", help="stage-2 head calibration on noisy captures")
@@ -532,7 +560,7 @@ def build_parser() -> _Parser:
     s.set_defaults(fn=cmd_simulate)
 
     pf = sub.add_parser("perf", help="throughput/energy sweep report")
-    pf.add_argument("--custom", nargs=5, metavar=("M", "N", "I", "K", "F"),
+    pf.add_argument("--custom", nargs=5, metavar=("M", "N", "I", "K", "F"), action=_CustomScenario,
                     help="append one custom scenario (image MxN, parallelism IxK, rate F)")
     pf.set_defaults(fn=cmd_perf)
     return p

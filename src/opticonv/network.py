@@ -124,10 +124,11 @@ class ModelParams:
 class TrainConfig:
     """Hyperparameters and reproducibility knobs for both training stages.
 
-    ``dtype`` is the stage-1 arithmetic: the conv layer, the pool and the
-    head's three feature-sized GEMMs run in it. The bias adds, fc2, the
-    softmax and the loss run in float64, as do the masters and the
-    optimizer. Physics checks run float64."""
+    ``dtype`` is the training arithmetic, one rule for both stages: the
+    stage-1 conv layer and pool, and the head's feature-sized GEMMs (three
+    in stage 1, the forward and the fc1_w gradient in stage 2), run in it.
+    The bias adds, fc2, the softmax and the loss run in float64, as do the
+    masters and the optimizer's velocities. Physics checks run float64."""
 
     lr_stage1: float = 0.01
     lr_stage2: float = 0.005
@@ -138,7 +139,7 @@ class TrainConfig:
     seed: int = 0
     noise: NoiseSpec = NoiseSpec(sigma=0.1, seed=1)
     grid: int = 256
-    dtype: str = "float32"  # stage-1 arithmetic, see above
+    dtype: str = "float32"  # training arithmetic, see above
 
     def __post_init__(self) -> None:
         for name in ("lr_stage1", "lr_stage2"):
@@ -388,6 +389,17 @@ def _real_dtype(dtype: str) -> type:
     return _DTYPES[dtype]
 
 
+def _mode_dtype(mode: str, dtype: str) -> type:
+    """The real dtype of the conv layer in ``mode``: ``dtype`` digital,
+    float64 optical. Rejects an unknown dtype, then an unknown mode."""
+    rdtype = _real_dtype(dtype)
+    if mode == "digital":
+        return rdtype
+    if mode == "optical":
+        return np.float64
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Per-frame gain normalization to unit max, in place: squared-magnitude
     # outputs vary over orders of magnitude and the head retraining absorbs
@@ -504,9 +516,11 @@ def _conv_optical(
     noise: NoiseSpec | None,
     rng: np.random.Generator | None,
     workers: int = 1,
+    kernel_spec: np.ndarray | None = None,
 ) -> np.ndarray:
     """Each image captured on its own frame: the engine's float64 windows
-    through the camera model, gain-normalized per image.
+    through the camera model, gain-normalized per image. ``kernel_spec`` is
+    as for ``_conv_digital``, in float64.
 
     Behind an ideal aperture each kernel of a pair on diffraction orders 0
     and 1 gives its single-kernel 4f output, which on the image window is
@@ -522,7 +536,8 @@ def _conv_optical(
     _require_capturable(bits, params, config, noise)
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
-    kernel_spec = _kernel_spectrum(params, np.float64)
+    if kernel_spec is None:
+        kernel_spec = _kernel_spectrum(params, np.float64)
     out = np.empty((len(bits), params.n_kernels, *params.image_hw))
     step = _block_images(out.itemsize * math.prod(out.shape[1:]))
     for s in range(0, len(bits), step):
@@ -542,6 +557,7 @@ def conv_fourier_forward(
     rng: np.random.Generator | None = None,
     dtype: str = "float64",
     workers: int = 1,
+    kernel_spec: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature maps of the Fourier convolution layer, one per kernel.
 
@@ -550,16 +566,20 @@ def conv_fourier_forward(
     float64, with the bench's rejections, and passes its windows through
     the camera model; with noise off it equals digital float64 to floating
     point. Outputs are gain-normalized per frame.
+
+    ``kernel_spec``, for callers that run many batches, is the kernel
+    spectrum of ``params`` in the mode's dtype (``_kernel_spectrum(params,
+    _mode_dtype(mode, dtype))``); it is built here when omitted.
     """
-    _real_dtype(dtype)
+    _mode_dtype(mode, dtype)
     if mode == "digital":
-        intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
+        intensity = _conv_digital(
+            bits, params, dtype=dtype, workers=workers, keep_fields=False, kernel_spec=kernel_spec
+        )[0]
         return _normalize_features(intensity)[0]
-    if mode == "optical":
-        if config is None:
-            config = OpticalConfig()
-        return _conv_optical(bits, params, config, noise, rng, workers=workers)
-    raise ValueError(f"unknown mode {mode!r}")
+    if config is None:
+        config = OpticalConfig()
+    return _conv_optical(bits, params, config, noise, rng, workers=workers, kernel_spec=kernel_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +648,10 @@ def _head_step(
     pre-activation), from which the caller may continue the backward pass.
 
     ``fc1_w`` is ``_fc1_weights(flat, params)``: ``flat @ fc1_w`` and
-    ``flat.T @ dpre1`` run in the features' dtype, so the fc1_w gradient
-    and the returned dpre1 are in it too. The bias adds, fc2, the softmax
-    and the loss run in float64, as do the other gradients (a float32
+    ``flat.T @ dpre1`` run in the features' dtype, which both training
+    stages set to ``TrainConfig.dtype``, so the fc1_w gradient and the
+    returned dpre1 are in it too. The bias adds, fc2, the softmax and the
+    loss run in float64, as do the other gradients (a float32
     ``p + 1e-300`` would add 0 and let an underflowed class give -inf)."""
     pre1 = flat @ fc1_w + params.fc1_b
     hidden = np.maximum(pre1, 0.0)
@@ -850,7 +871,12 @@ def finetune_stage2(
     captured: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
 ) -> tuple[ModelParams, list[dict]]:
-    """Retrain fc1/fc2 on captured conv outputs; kernels stay frozen."""
+    """Retrain fc1/fc2 on captured conv outputs; kernels stay frozen.
+
+    The features are pooled once and cast once to ``config.dtype``, so the
+    head's feature-sized GEMMs run in it as in stage 1; the bias adds, fc2,
+    the softmax, the loss, the float64 masters and the optimizer's
+    velocities do not. A float64 config runs the float64 head unchanged."""
     features, labels = captured
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -860,7 +886,7 @@ def finetune_stage2(
             f"{(params.n_kernels, *params.image_hw)}"
         )
     kernels_before = params.fourier_kernels
-    flat_all = _maxpool2(features).reshape(len(features), -1)
+    flat_all = _maxpool2(features).reshape(len(features), -1).astype(_real_dtype(config.dtype), copy=False)
     rng = np.random.default_rng(config.seed + 1)
     opt = _Momentum(("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
     trace: list[dict] = []
@@ -870,7 +896,8 @@ def finetune_stage2(
         losses, accs = [], []
         for s in range(0, n, config.batch_size):
             sel = order[s : s + config.batch_size]
-            loss, acc, grads, _ = _head_step(flat_all[sel], params.fc1_w, labels[sel], params)
+            flat = flat_all[sel]
+            loss, acc, grads, _ = _head_step(flat, _fc1_weights(flat, params), labels[sel], params)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"stage 2 diverged at epoch {epoch}")
             params = opt.step(params, grads, config.lr_stage2, config.momentum)
@@ -909,13 +936,15 @@ def predict(
     dtype: str = "float64",
     workers: int = 1,
 ) -> np.ndarray:
-    # One noise stream across batches, so no two batches see the same draws.
+    # One noise stream across batches, so no two batches see the same
+    # draws, and one kernel spectrum for all of them.
     rng = None if noise is None else np.random.default_rng(noise.seed)
+    kernel_spec = _kernel_spectrum(params, _mode_dtype(mode, dtype)) if len(bits) else None
     out = []
     for s in range(0, len(bits), _PREDICT_BATCH):
         feats = conv_fourier_forward(
             bits[s : s + _PREDICT_BATCH], params, mode=mode, config=config, noise=noise,
-            rng=rng, dtype=dtype, workers=workers,
+            rng=rng, dtype=dtype, workers=workers, kernel_spec=kernel_spec,
         )
         out.append(head_forward(feats, params).argmax(axis=1))
     return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)

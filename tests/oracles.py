@@ -13,7 +13,8 @@ transforms, the in-place optimizer and the centre-only high-pass mask
 replaced, with the same transforms in the same order, so the implementation
 must equal them bitwise. They delegate the kernel resample and its adjoint
 to the implementation; ``resample_spectrum_oracle``, the FFT form those
-dense operators replaced, checks both to rounding.
+dense operators replaced, checks both to rounding. ``finetune_stage2_oracle``
+pins the stage-2 head loop the same way.
 
 ``capture_oracle`` and ``features_tiled_oracle`` run single images and tiled
 frames through the physics reference in ``optics``, the paths the conv
@@ -266,6 +267,59 @@ def train_stage1_oracle(dataset, config, params):
             {
                 "epoch": epoch,
                 "split": "train",
+                "loss": float(np.mean(losses)),
+                "accuracy": float(np.mean(accs)),
+            }
+        )
+    return params, trace
+
+
+def finetune_stage2_oracle(params, captured, config):
+    """Stage 2 as a plain loop: the features pooled by the ``argmax`` oracle
+    and cast once to the config's dtype, a seeded permutation per epoch,
+    the head written out as in ``loss_and_grads_oracle`` (its two
+    feature-sized GEMMs in the config's dtype, the rest in float64) and
+    ``momentum_step_oracle`` on the four head parameters."""
+    features, labels = captured
+    rdtype = np.float32 if config.dtype == "float32" else np.float64
+    features = np.asarray(features, dtype=np.float64)
+    flat_all = maxpool2_oracle(features)[0].reshape(len(features), -1).astype(rdtype)
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(config.seed + 1)
+    velocity: dict = {}
+    trace = []
+    for epoch in range(config.epochs_stage2):
+        order = rng.permutation(len(flat_all))
+        losses, accs = [], []
+        for s in range(0, len(flat_all), config.batch_size):
+            sel = order[s : s + config.batch_size]
+            flat, y = flat_all[sel], labels[sel]
+            b = len(y)
+            pre1 = flat @ params.fc1_w.astype(rdtype) + params.fc1_b
+            hidden = np.maximum(pre1, 0.0)
+            logits = hidden @ params.fc2_w + params.fc2_b
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            rows = np.arange(b)
+            losses.append(-float(np.mean(np.log(p[rows, y] + 1e-300))))
+            accs.append(float(np.mean(logits.argmax(axis=1) == y)))
+            onehot = np.zeros_like(p)
+            onehot[rows, y] = 1.0
+            dlogits = (p - onehot) / b
+            dpre1 = (dlogits @ params.fc2_w.T) * (pre1 > 0)
+            grads = {
+                "fc1_w": (flat.T @ dpre1.astype(rdtype)).astype(np.float64),
+                "fc1_b": dpre1.sum(axis=0),
+                "fc2_w": hidden.T @ dlogits,
+                "fc2_b": dlogits.sum(axis=0),
+            }
+            current = {name: getattr(params, name) for name in grads}
+            new = momentum_step_oracle(current, velocity, grads, config.lr_stage2, config.momentum)
+            params = replace(params, **new)
+        trace.append(
+            {
+                "epoch": epoch,
+                "split": "stage2-train",
                 "loss": float(np.mean(losses)),
                 "accuracy": float(np.mean(accs)),
             }

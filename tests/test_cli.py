@@ -149,7 +149,11 @@ class TestFailureContract:
         (["--seed", "x", "perf"], "--seed"),
         (["simulate", "IMG", "--kernels", 0], "--kernels"),
         (["simulate", "IMG", "--kernels", -1], "--kernels"),
-    ], ids=["threads-0", "seed-negative", "seed-text", "kernels-0", "kernels-negative"])
+        (["perf", "--custom", "10.5", 10, 1, 1, 5], "--custom"),
+        (["train", "--dataset", "mnist", "--log-every", -1], "--log-every"),
+        (["quantize", "--dataset", "mnist", "--levels", 0], "--levels"),
+    ], ids=["threads-0", "seed-negative", "seed-text", "kernels-0", "kernels-negative",
+            "custom-fraction", "log-every-negative", "levels-0"])
     def test_integer_flag_rejected(self, small_config, tmp_path, capsys, argv, needle):
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones((16, 16), np.uint8))
@@ -157,6 +161,33 @@ class TestFailureContract:
         argv = [img_path if a == "IMG" else a for a in argv]
         code = run(["--config", small_config, "--out-dir", out_dir, *argv])
         assert_one_line_usage_error(code, capsys, needle)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "IMG", "--kernels", 8], cli.EXIT_USAGE),
+        (["simulate", "IMG", "--checkpoint", "CKPT", "--kernels", 5], cli.EXIT_USAGE),
+        (["train", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["quantize", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["finetune", "MISSING", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["finetune", "CKPT", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["eval", "MISSING", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["eval", "CKPT", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["eval", "CKPT", "--dataset", "cifar10"], cli.EXIT_DATA),
+    ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
+            "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
+            "eval-no-data", "eval-geometry"])
+    def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
+        # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28 checkpoint
+        cfg = json.loads(small_config.read_text())
+        cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((28, 28), np.uint8))
+        names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt"}
+        out_dir = tmp_path / "runs"
+        assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out_dir.exists()
 
     def test_too_many_simulated_kernels(self, small_config, tmp_path, capsys):
@@ -250,6 +281,8 @@ class TestFailureContract:
         ("noise", "dark", float("inf"), "noise.dark"),
         ("noise", "dark", -1.0, "dark floor"),
         ("train", "lr_stage1", float("nan"), "train.lr_stage1"),
+        ("quantize", "levels", 0, "quantize.levels"),
+        ("quantize", "threshold_frac", 1.0, "quantize.threshold_frac"),
         ("train", "lr_stage2", 0, "lr_stage2"),
         ("train", "momentum", 5.0, "momentum"),
         ("optical", "wavelength", float("-inf"), "optical.wavelength"),

@@ -36,6 +36,7 @@ from oracles import (
     conv_4f_oracle,
     conv_window_oracle,
     features_tiled_oracle,
+    finetune_stage2_oracle,
     highpass_mask_oracle,
     maxpool2_backward_oracle,
     maxpool2_oracle,
@@ -693,6 +694,65 @@ class TestStage2:
         dig = conv_fourier_forward(bits[:4], params, mode="digital", dtype="float64")
         assert np.max(np.abs(cap - dig)) < 1e-9
 
+    def _captured(self, n=45):
+        # 45 captures in batches of 16 leave a batch of 13
+        params, bits, labels, _ = self._trained()
+        feats = capture_features(params, bits[:n], OpticalConfig(), NoiseSpec(sigma=0.1, seed=5), seed=5)
+        return params, (feats, labels[:n])
+
+    @staticmethod
+    def config(dtype):
+        return TrainConfig(epochs_stage2=3, batch_size=16, lr_stage2=0.05, seed=6, grid=16, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_oracle_loop_bitwise(self, dtype):
+        params, captured = self._captured()
+        got, got_trace = finetune_stage2(params, captured, self.config(dtype))
+        want, want_trace = finetune_stage2_oracle(params, captured, self.config(dtype))
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    def test_float64_keeps_the_float64_head_bitwise(self):
+        # the float64 loop as it ran before the dtype rule reached stage 2:
+        # float64 pooled features with fc1_w itself
+        params, (feats, labels) = self._captured()
+        cfg = self.config("float64")
+        flat_all = network._maxpool2(feats).reshape(len(feats), -1)
+        rng = np.random.default_rng(cfg.seed + 1)
+        opt = network._Momentum(("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
+        want = params
+        for _ in range(cfg.epochs_stage2):
+            order = rng.permutation(len(feats))
+            for s in range(0, len(feats), cfg.batch_size):
+                sel = order[s : s + cfg.batch_size]
+                _, _, grads, _ = network._head_step(flat_all[sel], want.fc1_w, labels[sel], want)
+                want = opt.step(want, grads, cfg.lr_stage2, cfg.momentum)
+        got, _ = finetune_stage2(params, (feats, labels), cfg)
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_masters_and_velocities_stay_float64(self, monkeypatch, dtype):
+        optimizers, grad_dtypes = [], set()
+
+        class Recording(network._Momentum):
+            def __init__(self, names):
+                super().__init__(names)
+                optimizers.append(self)
+
+            def step(self, params, grads, lr, momentum):
+                grad_dtypes.add(grads["fc1_w"].dtype)
+                return super().step(params, grads, lr, momentum)
+
+        params, captured = self._captured()
+        monkeypatch.setattr(network, "_Momentum", Recording)
+        tuned, _ = finetune_stage2(params, captured, self.config(dtype))
+        assert grad_dtypes == {np.dtype(dtype)}  # the fc1_w gradient GEMM ran in the config's dtype
+        (opt,) = optimizers
+        assert {v.dtype for v in opt.v.values()} == {np.dtype(np.float64)}
+        assert all(getattr(tuned, name).dtype == np.float64 for name in network._PARAM_NAMES)
+
 
 class TestReadOnlyParams:
     def test_training_and_capture_never_write_to_params(self):
@@ -747,6 +807,44 @@ class TestEvaluate:
         whole = conv_fourier_forward(bits, params, mode="optical", config=OpticalConfig(),
                                      noise=noise, rng=np.random.default_rng(noise.seed))
         assert np.array_equal(np.concatenate(seen), whole)
+
+
+    @pytest.mark.parametrize("mode", ["digital", "optical"])
+    def test_predict_builds_the_kernel_spectrum_once(self, monkeypatch, mode):
+        # 12 images in batches of 4; the features equal per-batch forwards
+        # that each build the spectrum, on one noise stream
+        params = toy_params(seed=25)
+        bits = toy_batch(25, n=12)[0]
+        noise = NoiseSpec(sigma=0.2, seed=6) if mode == "optical" else None
+        rng = None if noise is None else np.random.default_rng(noise.seed)
+        want = [conv_fourier_forward(bits[s : s + 4], params, mode=mode, noise=noise, rng=rng, dtype="float32")
+                for s in range(0, 12, 4)]
+        builds, seen = [], []
+        build, head = network._kernel_spectrum, network.head_forward
+
+        def counting_build(p, rdtype, *args):
+            builds.append(rdtype)
+            return build(p, rdtype, *args)
+
+        def recording_head(features, p):
+            seen.append(features)
+            return head(features, p)
+
+        monkeypatch.setattr(network, "_kernel_spectrum", counting_build)
+        monkeypatch.setattr(network, "head_forward", recording_head)
+        monkeypatch.setattr(network, "_PREDICT_BATCH", 4)
+        preds = network.predict(params, bits, mode=mode, noise=noise, dtype="float32")
+        assert builds == [np.float64 if mode == "optical" else np.float32]
+        assert len(seen) == 3
+        for got, ref in zip(seen, want):
+            assert_same_bits(got, ref)
+        assert_same_bits(preds, np.concatenate([head(f, params).argmax(axis=1) for f in want]))
+
+    @pytest.mark.parametrize("dtype, needle", [("float32", "unknown mode 'holographic'"),
+                                               ("float16", "dtype must be one of")])
+    def test_predict_rejects_an_unknown_mode_after_the_dtype(self, dtype, needle):
+        with pytest.raises(ValueError, match=needle):
+            network.predict(toy_params(seed=26), toy_batch(26, n=2)[0], mode="holographic", dtype=dtype)
 
 
 class TestOpticalCapture:
