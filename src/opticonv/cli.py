@@ -202,8 +202,25 @@ def _load_dataset(kind: str, cfg: RunConfig) -> datapipe.Dataset:
     raise UsageError(f"unknown dataset {kind!r}")
 
 
-def _binarize_split(images: np.ndarray, threshold_frac: float) -> np.ndarray:
-    return np.stack([datapipe.binarize_gray(img, threshold_frac) for img in images])
+def _load_split(
+    args, cfg: RunConfig, split: str, limit: int | None, window: tuple[int, int] | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first ``limit`` (all when 0 or None) images of ``split`` ("train"
+    or "test") of ``args.dataset``, binarized, their labels and the class
+    count. A split with no images, images that are not single-channel, or
+    whose size is not the checkpoint's ``window``, are a data error."""
+    ds = _load_dataset(args.dataset, cfg)
+    images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
+    if not len(images):
+        raise DataFormatError(f"the {args.dataset} {split} split has no images")
+    if images.ndim != 3:
+        raise DataFormatError(f"{args.dataset} images {images.shape[1:]} are not single-channel")
+    if window is not None and images.shape[1:] != tuple(window):
+        raise DataFormatError(f"image size {images.shape[1:]} does not match checkpoint window {window}")
+    if limit:
+        images, labels = images[:limit], labels[:limit]
+    bits = np.stack([datapipe.binarize_gray(img, cfg.quantize.threshold_frac) for img in images])
+    return bits, labels, ds.n_classes
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +290,7 @@ def _train_config(cfg: RunConfig) -> network.TrainConfig:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    ds = _load_dataset(args.dataset, cfg)
-    bits = _binarize_split(ds.train_images, cfg.quantize.threshold_frac)
-    labels = ds.train_labels
-    if cfg.train.limit:
-        bits, labels = bits[: cfg.train.limit], labels[: cfg.train.limit]
+    bits, labels, n_classes = _load_split(args, cfg, "train", cfg.train.limit)
     tconf = _train_config(cfg)
     _log(f"stage 1 on {len(bits)} {args.dataset} images, grid {tconf.grid}")
     params = network.init_params(
@@ -285,12 +298,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
         n_kernels=cfg.train.n_kernels,
         grid=tconf.grid,
         image_hw=bits.shape[1:],
-        n_classes=ds.n_classes,
+        n_classes=n_classes,
         hidden=cfg.train.hidden,
         highpass_mask_enabled=not args.no_highpass,
     )
     params, trace = network.train_stage1(
-        (bits, labels), tconf, params=params, n_classes=ds.n_classes,
+        (bits, labels), tconf, params=params, n_classes=n_classes,
         workers=args.threads, log_every=args.log_every,
     )
     run_dir = _run_dir(args.out_dir, cfg, "train")
@@ -303,9 +316,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_finetune(args, cfg: RunConfig) -> int:
     params, header = network.load_checkpoint(args.checkpoint)
-    ds = _load_dataset(args.dataset, cfg)
-    bits = _binarize_split(ds.train_images[: cfg.train.capture_n], cfg.quantize.threshold_frac)
-    labels = ds.train_labels[: cfg.train.capture_n]
+    bits, labels, _ = _load_split(args, cfg, "train", cfg.train.capture_n, params.image_hw)
     tconf = _train_config(cfg)
     _log(f"capturing {len(bits)} optical-path outputs (sigma={cfg.noise.sigma})")
     captured = network.capture_features(
@@ -322,16 +333,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     params, header = network.load_checkpoint(args.checkpoint)
-    ds = _load_dataset(args.dataset, cfg)
-    if ds.test_images.shape[1:3] != params.image_hw:
-        raise DataFormatError(
-            f"dataset geometry {ds.test_images.shape[1:3]} does not match "
-            f"checkpoint window {params.image_hw}"
-        )
-    bits = _binarize_split(ds.test_images, cfg.quantize.threshold_frac)
-    labels = ds.test_labels
-    if args.limit:
-        bits, labels = bits[: args.limit], labels[: args.limit]
+    bits, labels, _ = _load_split(args, cfg, "test", args.limit, params.image_hw)
     result = network.evaluate(
         params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise,
         workers=args.threads,

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -70,6 +70,13 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 # spectrum per block) ~8% faster than 2 MiB blocks and timed the stage-1
 # step alike; the whole batch at once was ~1.4x slower.
 _BLOCK_BYTES = 1 << 20
+
+
+def _blocks(n: int, unit_bytes: int) -> list[slice]:
+    """Consecutive slices of ``range(n)``, each as many units of
+    ``unit_bytes`` as fill one ``_BLOCK_BYTES`` block, and at least one."""
+    step = max(1, _BLOCK_BYTES // unit_bytes)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -128,7 +135,11 @@ class TrainConfig:
     stage-1 conv layer and pool, and the head's feature-sized GEMMs (three
     in stage 1, the forward and the fc1_w gradient in stage 2), run in it.
     The bias adds, fc2, the softmax and the loss run in float64, as do the
-    masters and the optimizer's velocities. Physics checks run float64."""
+    masters and the optimizer's velocities. Physics checks run float64.
+
+    Nothing in ``network`` reads ``noise``: captures take their noise as an
+    argument. The field stays only because ``perfbench/workloads.py`` still
+    passes it."""
 
     lr_stage1: float = 0.01
     lr_stage2: float = 0.005
@@ -181,9 +192,8 @@ def init_params(
         # the stream drawn in order), scaled in place one cache block at a time
         x = np.empty(size)
         flat = x.reshape(-1)
-        chunk = max(1, _BLOCK_BYTES // x.itemsize)
-        for s in range(0, flat.size, chunk):
-            part = flat[s : s + chunk]
+        for block in _blocks(flat.size, x.itemsize):
+            part = flat[block]
             rng.random(out=part)
             part *= high - low
             part += low
@@ -353,10 +363,9 @@ def _kernel_spectrum(params: ModelParams, rdtype, bank_override: np.ndarray | No
         spec = _resample_spectrum(bank, window, sizes)
     else:
         masters, highpass = params.fourier_kernels, params.highpass_mask_enabled
-        step = max(1, _BLOCK_BYTES // (masters[0].size * np.dtype(rdtype).itemsize))
         spec = np.concatenate([
-            _resample_spectrum(_shifted_bank(masters[k0 : k0 + step], highpass, rdtype), window, sizes)
-            for k0 in range(0, len(masters), step)
+            _resample_spectrum(_shifted_bank(masters[block], highpass, rdtype), window, sizes)
+            for block in _blocks(len(masters), masters[0].size * np.dtype(rdtype).itemsize)
         ])
     return spec.astype(np.result_type(rdtype, np.complex64))
 
@@ -376,11 +385,6 @@ def _kernel_gradient(corr: np.ndarray, window: tuple[int, int], g: int) -> np.nd
 
 # ---------------------------------------------------------------------------
 # convolution layer forward
-
-
-def _block_images(image_bytes: int) -> int:
-    """Images per block of the batch when each image takes ``image_bytes``."""
-    return max(1, _BLOCK_BYTES // image_bytes)
 
 
 def _real_dtype(dtype: str) -> type:
@@ -437,17 +441,17 @@ def _inverse_windows(
     n_rows, n_cols = np.arange(n)[rows].size, np.arange(m)[cols].size
     scale = 1 / (n * m)
     spectrum_bytes = n * m * spectrum.itemsize
-    k_step = min(k, max(1, _BLOCK_BYTES // spectrum_bytes))
-    b_step = _block_images(k * spectrum_bytes)  # 1 when K spectra exceed a block
-    block = np.empty((min(b_step, b), k_step, n, m), dtype=spectrum.dtype)
+    image_blocks = _blocks(b, k * spectrum_bytes)  # 1 image each when K spectra exceed a block
+    kernel_blocks = _blocks(k, spectrum_bytes)
+    if image_blocks and kernel_blocks:  # the first blocks are the largest
+        block = np.empty((image_blocks[0].stop, kernel_blocks[0].stop, n, m), dtype=spectrum.dtype)
     fields = np.empty((b, k, n_rows, n_cols), dtype=spectrum.dtype) if keep_fields else None
     intensity = np.empty((b, k, n_rows, n_cols), dtype=rdtype)
-    for s in range(0, b, b_step):
-        e = min(s + b_step, b)
-        for k0 in range(0, k, k_step):
-            k1 = min(k0 + k_step, k)
-            out = np.s_[s:e, k0:k1]
-            filtered = np.multiply(spectrum[s:e, None], kernel_spec[k0:k1], out=block[: e - s, : k1 - k0])
+    for images in image_blocks:
+        for kernels in kernel_blocks:
+            out = images, kernels
+            filtered = block[: images.stop - images.start, : kernels.stop - kernels.start]
+            np.multiply(spectrum[images, None], kernel_spec[kernels], out=filtered)
             by_col = scipy.fft.ifft(filtered, axis=-2, norm="forward", overwrite_x=True, workers=workers)
             kept = by_col[..., rows, :]
             kept.view(rdtype)[...] *= scale
@@ -509,6 +513,24 @@ def _require_capturable(
         raise ValueError("micromirror input must be binary (0/1)")
 
 
+def _capture(
+    bits: np.ndarray, params: ModelParams, noise: NoiseSpec | None, rng: np.random.Generator | None,
+    group: int, windows: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The camera half of both optical paths. ``windows(part)`` gives the
+    float64 intensity windows (len(part), K, h, w) of a run of at most
+    ``group`` images of ``bits``; each run goes through the camera model in
+    order, drawing from one noise stream (``rng``, or one seeded by
+    ``noise``), into one output gain-normalized per image."""
+    if noise is not None and rng is None:
+        rng = np.random.default_rng(noise.seed)
+    out = np.empty((len(bits), params.n_kernels, *params.image_hw))
+    for s in range(0, len(bits), group):
+        part = bits[s : s + group]
+        out[s : s + len(part)] = camera_capture(windows(part), noise, rng=rng)
+    return _normalize_features(out)[0]
+
+
 def _conv_optical(
     bits: np.ndarray,
     params: ModelParams,
@@ -527,25 +549,22 @@ def _conv_optical(
     the engine's convolution at the same absolute scale (the two
     orthonormal lens transforms scale by 1/G^2, as the engine's inverse
     does), so the camera's dark floor keeps its meaning. The images run in
-    chunks whose windows fit ``_BLOCK_BYTES`` and share one kernel
+    groups whose windows fit ``_BLOCK_BYTES`` and share one kernel
     spectrum; the camera draws its noise in the output's order, so the
-    chunks give the bits of one capture of the batch."""
+    groups give the bits of one capture of the batch."""
     bits = np.asarray(bits)
     if bits.ndim == 2:
         bits = bits[None]
     _require_capturable(bits, params, config, noise)
-    if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
     if kernel_spec is None:
         kernel_spec = _kernel_spectrum(params, np.float64)
-    out = np.empty((len(bits), params.n_kernels, *params.image_hw))
-    step = _block_images(out.itemsize * math.prod(out.shape[1:]))
-    for s in range(0, len(bits), step):
-        windows, _, _ = _conv_digital(
-            bits[s : s + step], params, "float64", workers, keep_fields=False, kernel_spec=kernel_spec
-        )
-        out[s : s + step] = camera_capture(windows, noise, rng=rng)
-    return _normalize_features(out)[0]
+    image_bytes = 8 * params.n_kernels * math.prod(params.image_hw)
+    group = _blocks(max(len(bits), 1), image_bytes)[0].stop  # with no images any group >= 1 will do
+
+    def windows(part: np.ndarray) -> np.ndarray:
+        return _conv_digital(part, params, "float64", workers, keep_fields=False, kernel_spec=kernel_spec)[0]
+
+    return _capture(bits, params, noise, rng, group, windows)
 
 
 def conv_fourier_forward(
@@ -714,18 +733,16 @@ def _loss_and_grads(
     n_h, n_w = spectrum.shape[-2:]
     corr = np.zeros((k, n_h, n_w), dtype=fields.dtype)
     conj = spectrum.conj()
-    step = _block_images(corr.nbytes)
-    for s in range(0, b, step):
-        e = min(s + step, b)
-        d, m = draw[s:e], peak[s:e]
-        dpeak = -(d * feats[s:e]).reshape(e - s, -1).sum(axis=1) / m
+    for images in _blocks(b, corr.nbytes):
+        d, m = draw[images], peak[images]
+        dpeak = -(d * feats[images]).reshape(len(d), -1).sum(axis=1) / m
         d /= m[:, None, None, None]
-        d.reshape(e - s, -1)[np.arange(e - s), argmax[s:e]] += dpeak
-        window = 2.0 * fields[s:e]
+        d.reshape(len(d), -1)[np.arange(len(d)), argmax[images]] += dpeak
+        window = 2.0 * fields[images]
         window *= d
         cols = scipy.fft.fft(window, n=n_h, axis=-2, overwrite_x=True, workers=workers)
         spec = scipy.fft.fft(cols, n=n_w, axis=-1, overwrite_x=True, workers=workers)
-        spec *= conj[s:e, None]
+        spec *= conj[images, None]
         for one in spec:
             corr += one
     # binarize_ste_grad with the float64 cast in the same pass, in blocks of
@@ -734,12 +751,11 @@ def _loss_and_grads(
     # buffer, then the gradient times it
     masters = params.fourier_kernels
     dbank = np.empty(masters.shape)
-    k_step = max(1, _BLOCK_BYTES // dbank[0].nbytes)
-    for k0 in range(0, k, k_step):
-        part = dbank[k0 : k0 + k_step]
-        np.abs(masters[k0 : k0 + k_step], out=part)
+    for kernels in _blocks(k, dbank[0].nbytes):
+        part = dbank[kernels]
+        np.abs(masters[kernels], out=part)
         np.less_equal(part, STE_CLIP, out=part)
-        np.multiply(_kernel_gradient(corr[k0 : k0 + k_step], (h, w), params.grid), part, out=part)
+        np.multiply(_kernel_gradient(corr[kernels], (h, w), params.grid), part, out=part)
     if params.highpass_mask_enabled:
         _mask_centre(dbank)
     grads["fourier_kernels"] = dbank
@@ -771,9 +787,8 @@ class _Momentum:
                 self.v[n] = v = np.empty(p.shape, dtype=p.dtype)
             out = np.empty(p.shape, dtype=p.dtype)
             flat = [a.reshape(-1) for a in (v, g, p, out)]  # v, out: views
-            chunk = max(1, _BLOCK_BYTES // (4 * v.itemsize))
-            for s in range(0, v.size, chunk):
-                v_c, g_c, p_c, out_c = (a[s : s + chunk] for a in flat)
+            for chunk in _blocks(v.size, 4 * v.itemsize):
+                v_c, g_c, p_c, out_c = (a[chunk] for a in flat)
                 if first:
                     v_c[...] = g_c
                 else:
@@ -783,6 +798,45 @@ class _Momentum:
                 np.subtract(p_c, out_c, out=out_c)
             new[n] = out
         return replace(params, **new)
+
+
+def _sgd(
+    params: ModelParams, names: Sequence[str], n: int, config: TrainConfig, stage: int,
+    loss_and_grads: Callable[[ModelParams, np.ndarray], tuple[float, float, dict]], log_every: int = 0,
+) -> tuple[ModelParams, list[dict]]:
+    """The training loop of both stages: momentum SGD on the parameters
+    ``names`` over ``n`` samples, in batches of a seeded permutation per
+    epoch (``config.seed`` in stage 1, ``config.seed + 1`` in stage 2).
+    ``loss_and_grads(params, sel)`` gives the loss, accuracy and gradients
+    of the samples ``sel``. Stage 1 re-masks the fresh masters after each
+    step; stage 2 never writes its frozen bank. Returns the parameters and
+    a per-epoch loss/accuracy trace."""
+    if stage == 1:
+        seed, epochs, lr, split = config.seed, config.epochs_stage1, config.lr_stage1, "train"
+    else:
+        seed, epochs, lr, split = config.seed + 1, config.epochs_stage2, config.lr_stage2, "stage2-train"
+    rng = np.random.default_rng(seed)
+    opt = _Momentum(names)
+    trace: list[dict] = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        losses, accs = [], []
+        for step, s in enumerate(range(0, n, config.batch_size)):
+            loss, acc, grads = loss_and_grads(params, order[s : s + config.batch_size])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"stage {stage} diverged at epoch {epoch}, step {step}: loss={loss}"
+                )
+            params = opt.step(params, grads, lr, config.momentum)
+            if stage == 1:
+                params = _apply_mask_to_masters(params)
+            losses.append(loss)
+            accs.append(acc)
+            if log_every and step % log_every == 0:
+                print(f"stage{stage} epoch {epoch} step {step} loss {loss:.4f} acc {acc:.3f}", flush=True)
+        trace.append({"epoch": epoch, "split": split,
+                      "loss": float(np.mean(losses)), "accuracy": float(np.mean(accs))})
+    return params, trace
 
 
 def train_stage1(
@@ -799,52 +853,14 @@ def train_stage1(
     pipeline. Deterministic under ``config.seed``; returns the trained
     parameters and a per-epoch loss/accuracy trace.
     """
-    bits, labels = dataset
-    bits = np.asarray(bits)
-    labels = np.asarray(labels)
+    bits, labels = map(np.asarray, dataset)
     if params is None:
-        params = init_params(
-            seed=config.seed,
-            grid=config.grid,
-            image_hw=bits.shape[1:],
-            n_classes=n_classes,
-        )
-    rng = np.random.default_rng(config.seed)
-    opt = _Momentum(_PARAM_NAMES)
-    trace: list[dict] = []
-    n = len(bits)
-    for epoch in range(config.epochs_stage1):
-        order = rng.permutation(n)
-        losses, accs = [], []
-        for s in range(0, n, config.batch_size):
-            sel = order[s : s + config.batch_size]
-            loss, acc, grads = _loss_and_grads(
-                params, bits[sel], labels[sel], config.dtype, workers
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"stage 1 diverged at epoch {epoch}, step {s // config.batch_size}: "
-                    f"loss={loss}"
-                )
-            params = opt.step(params, grads, config.lr_stage1, config.momentum)
-            params = _apply_mask_to_masters(params)
-            losses.append(loss)
-            accs.append(acc)
-            if log_every and (s // config.batch_size) % log_every == 0:
-                print(
-                    f"stage1 epoch {epoch} step {s // config.batch_size} "
-                    f"loss {loss:.4f} acc {acc:.3f}",
-                    flush=True,
-                )
-        trace.append(
-            {
-                "epoch": epoch,
-                "split": "train",
-                "loss": float(np.mean(losses)),
-                "accuracy": float(np.mean(accs)),
-            }
-        )
-    return params, trace
+        params = init_params(seed=config.seed, grid=config.grid, image_hw=bits.shape[1:], n_classes=n_classes)
+
+    def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
+        return _loss_and_grads(p, bits[sel], labels[sel], config.dtype, workers)
+
+    return _sgd(params, _PARAM_NAMES, len(bits), config, 1, loss_and_grads, log_every)
 
 
 # ---------------------------------------------------------------------------
@@ -887,30 +903,12 @@ def finetune_stage2(
         )
     kernels_before = params.fourier_kernels
     flat_all = _maxpool2(features).reshape(len(features), -1).astype(_real_dtype(config.dtype), copy=False)
-    rng = np.random.default_rng(config.seed + 1)
-    opt = _Momentum(("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
-    trace: list[dict] = []
-    n = len(features)
-    for epoch in range(config.epochs_stage2):
-        order = rng.permutation(n)
-        losses, accs = [], []
-        for s in range(0, n, config.batch_size):
-            sel = order[s : s + config.batch_size]
-            flat = flat_all[sel]
-            loss, acc, grads, _ = _head_step(flat, _fc1_weights(flat, params), labels[sel], params)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"stage 2 diverged at epoch {epoch}")
-            params = opt.step(params, grads, config.lr_stage2, config.momentum)
-            losses.append(loss)
-            accs.append(acc)
-        trace.append(
-            {
-                "epoch": epoch,
-                "split": "stage2-train",
-                "loss": float(np.mean(losses)),
-                "accuracy": float(np.mean(accs)),
-            }
-        )
+
+    def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
+        flat = flat_all[sel]
+        return _head_step(flat, _fc1_weights(flat, p), labels[sel], p)[:3]
+
+    params, trace = _sgd(params, _PARAM_NAMES[1:], len(features), config, 2, loss_and_grads)  # the head only
     assert params.fourier_kernels is kernels_before  # freeze contract
     return params, trace
 
@@ -971,7 +969,6 @@ def features_tiled(
     layout: TileLayout,
     config: OpticalConfig,
     noise: NoiseSpec | None = None,
-    rng: np.random.Generator | None = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Conv features of images processed as tiled multi-image frames.
@@ -997,17 +994,14 @@ def features_tiled(
     rows = (np.array([layout.cell_origin(r * gc)[0] for r in range(gr)])[:, None] + np.arange(h)).ravel()
     cols = (np.array([layout.cell_origin(c)[1] for c in range(gc)])[:, None] + np.arange(w)).ravel()
     kernel_spec = _shifted_bank(params.fourier_kernels, params.highpass_mask_enabled, np.float64)
-    if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
-    feats = np.empty((len(bits), k, h, w))
     cap = layout.capacity
-    for s in range(0, len(bits), cap):
-        group = bits[s : s + cap]
-        spectrum = scipy.fft.fft2(tile(list(group), layout), workers=workers)[None]
+
+    def frame_cells(part: np.ndarray) -> np.ndarray:
+        spectrum = scipy.fft.fft2(tile(list(part), layout), workers=workers)[None]
         windows, _ = _inverse_windows(spectrum, kernel_spec, rows, cols, np.float64, workers, False)
-        cells = windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)
-        feats[s : s + len(group)] = camera_capture(cells[: len(group)], noise, rng=rng)
-    return _normalize_features(feats)[0]
+        return windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)[: len(part)]
+
+    return _capture(bits, params, noise, None, cap, frame_cells)
 
 
 def evaluate_tiled(

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +174,11 @@ class TestFailureContract:
         (["eval", "MISSING", "--dataset", "mnist"], cli.EXIT_DATA),
         (["eval", "CKPT", "--dataset", "mnist"], cli.EXIT_DATA),
         (["eval", "CKPT", "--dataset", "cifar10"], cli.EXIT_DATA),
+        (["finetune", "CKPT", "--dataset", "cifar10"], cli.EXIT_DATA),
+        (["train", "--dataset", "cifar10"], cli.EXIT_DATA),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
-            "eval-no-data", "eval-geometry"])
+            "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28 checkpoint
         cfg = json.loads(small_config.read_text())
@@ -407,6 +410,35 @@ class TestTrainEvalPipeline:
         code = run(["--config", small_config, "--out-dir", out_dir,
                     "eval", ckpt, "--dataset", "cifar10", "--limit", 10])
         assert code == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_window_mismatch_is_data_error(self, small_config, tmp_path, capsys, command):
+        # single-channel 28x28 images against a 16x16 checkpoint
+        params = network.init_params(seed=0, n_kernels=4, grid=64, image_hw=(16, 16), hidden=32)
+        ckpt = network.save_checkpoint(params, tmp_path / "small.ckpt", stage=1, seed=0)
+        out_dir = tmp_path / "runs"
+        code = run(["--config", small_config, "--out-dir", out_dir, command, ckpt, "--dataset", "mnist"])
+        assert code == cli.EXIT_DATA
+        assert "checkpoint window (16, 16)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "finetune", "eval"])
+    def test_empty_split_is_data_error(self, small_config, tmp_path, capsys, command):
+        mnist = tmp_path / "empty-mnist"
+        mnist.mkdir()
+        for prefix in ("train", "t10k"):
+            (mnist / f"{prefix}-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+            (mnist / f"{prefix}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
+        cfg = json.loads(small_config.read_text())
+        cfg["paths"]["mnist"] = str(mnist)
+        small_config.write_text(json.dumps(cfg))
+        ckpt = [stage1_checkpoint(cfg, tmp_path)] if command != "train" else []
+        out_dir = tmp_path / "runs"
+        code = run(["--config", small_config, "--out-dir", out_dir, command, *ckpt, "--dataset", "mnist"])
+        assert code == cli.EXIT_DATA
+        assert "has no images" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestSimulateCommand:

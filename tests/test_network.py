@@ -335,7 +335,7 @@ class TestBlockedEngine:
         sizes = (55, 55)  # next_fast_len(2 * 28 - 1) on the 64-px grid
         bank = scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1))
         kernel_spec = network._resample_spectrum(bank, (28, 28), sizes)
-        step = network._block_images(k * 55 * 55 * 2 * np.dtype(rdtype).itemsize)
+        step = network._blocks(1 << 10, k * 55 * 55 * 2 * np.dtype(rdtype).itemsize)[0].stop
         rng = np.random.default_rng(k)
         for b in sorted({1, max(step - 1, 1), step, step + 1, 2 * step + 1}):
             bits = rng.integers(0, 2, (b, 28, 28)).astype(np.uint8)
@@ -654,6 +654,15 @@ class TestTrainStage1:
         with pytest.raises(TrainingDivergedError, match="diverged"):
             train_stage1((bits, labels), cfg, params=network.replace(params, fc1_w=bad))
 
+    def test_log_every_prints_one_line_per_step(self, capsys):
+        bits, labels = toy_batch(12, n=20)  # 3 steps per epoch, the last of 4 images
+        cfg = TrainConfig(epochs_stage1=2, batch_size=8, seed=0, grid=16, dtype="float64")
+        train_stage1((bits, labels), cfg, params=toy_params(seed=12), log_every=1)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" loss ")[0] for line in lines] == [
+            f"stage1 epoch {e} step {s}" for e in range(2) for s in range(3)
+        ]
+
     def test_mask_persists_after_steps(self):
         bits, labels = toy_batch(13, n=32)
         cfg = TrainConfig(epochs_stage1=1, batch_size=8, seed=0, grid=16, dtype="float64")
@@ -682,6 +691,14 @@ class TestStage2:
         feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.2, seed=4), seed=4)
         _, trace = finetune_stage2(params, (feats, labels), cfg)
         assert trace[-1]["loss"] <= trace[0]["loss"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_divergence_names_stage_epoch_and_step(self, dtype):
+        params, captured = self._captured()
+        bad = params.fc1_w.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError, match=r"^stage 2 diverged at epoch 0, step 0: loss=nan$"):
+            finetune_stage2(network.replace(params, fc1_w=bad), captured, self.config(dtype))
 
     def test_feature_shape_mismatch(self):
         params, bits, labels, cfg = self._trained()
@@ -897,6 +914,14 @@ class TestOpticalCapture:
             r = n[c > 0.01] / c[c > 0.01]
             spread.append(r / r.mean() - 1.0)
         assert abs(np.std(np.concatenate(spread)) / sigma - 1.0) <= 0.1
+
+    def test_single_image_equals_one_image_batch(self):
+        params, bits = self.case()
+        noise = NoiseSpec(sigma=0.1, dark=1e-4)
+        one, batch = (conv_fourier_forward(x, params, mode="optical", noise=noise, rng=np.random.default_rng(2))
+                      for x in (bits[0], bits[:1]))
+        assert one.shape == (1, 5, 8, 8)
+        assert_same_bits(one, batch)
 
     def test_chunks_give_the_bits_of_one_capture(self, monkeypatch):
         params, bits = self.case()
