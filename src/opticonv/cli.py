@@ -203,22 +203,28 @@ def _load_dataset(kind: str, cfg: RunConfig) -> datapipe.Dataset:
 
 
 def _load_split(
-    args, cfg: RunConfig, split: str, limit: int | None, window: tuple[int, int] | None = None
+    args, cfg: RunConfig, split: str, limit: int | None, params: network.ModelParams | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The first ``limit`` (all when 0 or None) images of ``split`` ("train"
     or "test") of ``args.dataset``, binarized, their labels and the class
     count. A split with no images, images that are not single-channel, or
-    whose size is not the checkpoint's ``window``, are a data error."""
+    that do not fit the checkpoint ``params`` (its window, or a label past
+    its classes), are a data error."""
     ds = _load_dataset(args.dataset, cfg)
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if not len(images):
         raise DataFormatError(f"the {args.dataset} {split} split has no images")
     if images.ndim != 3:
         raise DataFormatError(f"{args.dataset} images {images.shape[1:]} are not single-channel")
-    if window is not None and images.shape[1:] != tuple(window):
-        raise DataFormatError(f"image size {images.shape[1:]} does not match checkpoint window {window}")
     if limit:
         images, labels = images[:limit], labels[:limit]
+    if params is not None:
+        window = params.image_hw
+        if images.shape[1:] != window:
+            raise DataFormatError(f"image size {images.shape[1:]} does not match checkpoint window {window}")
+        if labels.max() >= params.n_classes:
+            raise DataFormatError(f"{args.dataset} label {labels.max()} is past the checkpoint's "
+                                  f"{params.n_classes} classes")
     bits = np.stack([datapipe.binarize_gray(img, cfg.quantize.threshold_frac) for img in images])
     return bits, labels, ds.n_classes
 
@@ -316,7 +322,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_finetune(args, cfg: RunConfig) -> int:
     params, header = network.load_checkpoint(args.checkpoint)
-    bits, labels, _ = _load_split(args, cfg, "train", cfg.train.capture_n, params.image_hw)
+    bits, labels, _ = _load_split(args, cfg, "train", cfg.train.capture_n, params)
     tconf = _train_config(cfg)
     _log(f"capturing {len(bits)} optical-path outputs (sigma={cfg.noise.sigma})")
     captured = network.capture_features(
@@ -333,7 +339,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     params, header = network.load_checkpoint(args.checkpoint)
-    bits, labels, _ = _load_split(args, cfg, "test", args.limit, params.image_hw)
+    bits, labels, _ = _load_split(args, cfg, "test", args.limit, params)
     result = network.evaluate(
         params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise,
         workers=args.threads,

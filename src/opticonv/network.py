@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -89,6 +89,11 @@ class ModelParams:
 
     The reference instance carries 16 kernels on the training grid with a
     256-unit hidden layer; smaller instances are used for gradient checks.
+
+    Each instance builds the engine's kernel spectrum once per real dtype,
+    on first use, and keeps it read-only; the first build also makes
+    ``fourier_kernels`` read-only, so no spectrum goes stale. Write no array
+    after the first forward: ``dataclasses.replace`` starts with no spectra.
     """
 
     fourier_kernels: np.ndarray  # (K, G, G) float masters
@@ -98,6 +103,7 @@ class ModelParams:
     fc2_b: np.ndarray  # (n_classes,)
     highpass_mask_enabled: bool
     image_hw: tuple[int, int]
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fourier_kernels.ndim != 3 or self.fourier_kernels.shape[1] != self.fourier_kernels.shape[2]:
@@ -125,6 +131,15 @@ class ModelParams:
     @property
     def n_classes(self) -> int:
         return self.fc2_w.shape[1]
+
+    def _kernel_spec(self, rdtype) -> np.ndarray:
+        """The read-only ``_kernel_spectrum`` of this bank in the complex
+        dtype of ``rdtype``, built on first use."""
+        key = np.dtype(rdtype)
+        if key not in self._spectra:
+            self._spectra[key] = spec = _kernel_spectrum(self, key)
+            spec.flags.writeable = self.fourier_kernels.flags.writeable = False
+        return self._spectra[key]
 
 
 @dataclass(frozen=True)
@@ -476,9 +491,8 @@ def _conv_digital(
     """Intensity |U|^2 and complex field U of every kernel's output window
     (B, K, h, w), and the batch spectrum on the small grid that the backward
     pass correlates against. Without ``keep_fields`` the fields are not
-    written and None stands in their place. ``kernel_spec`` is the
-    ``_kernel_spectrum`` of ``params`` in ``dtype``, for callers that reuse
-    it or substitute another bank; it is built here when omitted."""
+    written and None stands in their place. ``kernel_spec`` substitutes
+    another bank's spectrum in ``dtype`` for that of ``params``."""
     rdtype = _real_dtype(dtype)
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
@@ -486,8 +500,7 @@ def _conv_digital(
         bits = bits[None]
     if bits.shape[1:] != (h, w):
         raise ValueError(f"batch {bits.shape} does not match native window {(h, w)}")
-    if kernel_spec is None:
-        kernel_spec = _kernel_spectrum(params, rdtype)
+    kernel_spec = params._kernel_spec(rdtype) if kernel_spec is None else kernel_spec
     spectrum = scipy.fft.fft2(bits, s=kernel_spec.shape[-2:], workers=workers)
     intensity, fields = _inverse_windows(
         spectrum, kernel_spec, slice(0, h), slice(0, w), rdtype, workers, keep_fields
@@ -538,11 +551,9 @@ def _conv_optical(
     noise: NoiseSpec | None,
     rng: np.random.Generator | None,
     workers: int = 1,
-    kernel_spec: np.ndarray | None = None,
 ) -> np.ndarray:
     """Each image captured on its own frame: the engine's float64 windows
-    through the camera model, gain-normalized per image. ``kernel_spec`` is
-    as for ``_conv_digital``, in float64.
+    through the camera model, gain-normalized per image.
 
     Behind an ideal aperture each kernel of a pair on diffraction orders 0
     and 1 gives its single-kernel 4f output, which on the image window is
@@ -556,13 +567,11 @@ def _conv_optical(
     if bits.ndim == 2:
         bits = bits[None]
     _require_capturable(bits, params, config, noise)
-    if kernel_spec is None:
-        kernel_spec = _kernel_spectrum(params, np.float64)
     image_bytes = 8 * params.n_kernels * math.prod(params.image_hw)
     group = _blocks(max(len(bits), 1), image_bytes)[0].stop  # with no images any group >= 1 will do
 
     def windows(part: np.ndarray) -> np.ndarray:
-        return _conv_digital(part, params, "float64", workers, keep_fields=False, kernel_spec=kernel_spec)[0]
+        return _conv_digital(part, params, "float64", workers, keep_fields=False)[0]
 
     return _capture(bits, params, noise, rng, group, windows)
 
@@ -576,7 +585,6 @@ def conv_fourier_forward(
     rng: np.random.Generator | None = None,
     dtype: str = "float64",
     workers: int = 1,
-    kernel_spec: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature maps of the Fourier convolution layer, one per kernel.
 
@@ -586,19 +594,15 @@ def conv_fourier_forward(
     the camera model; with noise off it equals digital float64 to floating
     point. Outputs are gain-normalized per frame.
 
-    ``kernel_spec``, for callers that run many batches, is the kernel
-    spectrum of ``params`` in the mode's dtype (``_kernel_spectrum(params,
-    _mode_dtype(mode, dtype))``); it is built here when omitted.
+    The kernel spectrum is built on the first call for ``params`` in the
+    mode's dtype and reused by every later one (see ``ModelParams``), so a
+    caller that runs many batches loads the bank once.
     """
     _mode_dtype(mode, dtype)
     if mode == "digital":
-        intensity = _conv_digital(
-            bits, params, dtype=dtype, workers=workers, keep_fields=False, kernel_spec=kernel_spec
-        )[0]
+        intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
         return _normalize_features(intensity)[0]
-    if config is None:
-        config = OpticalConfig()
-    return _conv_optical(bits, params, config, noise, rng, workers=workers, kernel_spec=kernel_spec)
+    return _conv_optical(bits, params, OpticalConfig() if config is None else config, noise, rng, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +712,8 @@ def _loss_and_grads(
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     # bank_override substitutes the binarized bank (centered coordinates);
     # the finite-difference harness perturbs the STE surrogate through it.
-    kernel_spec = _kernel_spectrum(params, _real_dtype(dtype), bank_override)
-    raw, fields, spectrum = _conv_digital(bits, params, dtype, workers, kernel_spec=kernel_spec)
+    override = None if bank_override is None else _kernel_spectrum(params, _real_dtype(dtype), bank_override)
+    raw, fields, spectrum = _conv_digital(bits, params, dtype, workers, kernel_spec=override)
     b, k, h, w = raw.shape
     argmax = raw.reshape(b, -1).argmax(axis=1)  # before the in-place divide: ties as in raw
     feats, peak = _normalize_features(raw)
@@ -889,10 +893,11 @@ def finetune_stage2(
 ) -> tuple[ModelParams, list[dict]]:
     """Retrain fc1/fc2 on captured conv outputs; kernels stay frozen.
 
-    The features are pooled once and cast once to ``config.dtype``, so the
-    head's feature-sized GEMMs run in it as in stage 1; the bias adds, fc2,
-    the softmax, the loss, the float64 masters and the optimizer's
-    velocities do not. A float64 config runs the float64 head unchanged."""
+    The features are pooled once, a cache block of captures at a time,
+    straight into ``config.dtype``, so the head's feature-sized GEMMs run in
+    it as in stage 1; the bias adds, fc2, the softmax, the loss, the float64
+    masters and the optimizer's velocities do not. A float64 config runs the
+    float64 head unchanged."""
     features, labels = captured
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -902,7 +907,10 @@ def finetune_stage2(
             f"{(params.n_kernels, *params.image_hw)}"
         )
     kernels_before = params.fourier_kernels
-    flat_all = _maxpool2(features).reshape(len(features), -1).astype(_real_dtype(config.dtype), copy=False)
+    d = len(params.fc1_w)
+    flat_all = np.empty((len(features), d), dtype=_real_dtype(config.dtype))
+    for block in _blocks(len(features), features.itemsize * math.prod(features.shape[1:])):
+        flat_all[block] = _maxpool2(features[block]).reshape(-1, d)
 
     def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
         flat = flat_all[sel]
@@ -934,16 +942,12 @@ def predict(
     dtype: str = "float64",
     workers: int = 1,
 ) -> np.ndarray:
-    # One noise stream across batches, so no two batches see the same
-    # draws, and one kernel spectrum for all of them.
+    # One noise stream across batches, so no two batches see the same draws.
     rng = None if noise is None else np.random.default_rng(noise.seed)
-    kernel_spec = _kernel_spectrum(params, _mode_dtype(mode, dtype)) if len(bits) else None
     out = []
     for s in range(0, len(bits), _PREDICT_BATCH):
-        feats = conv_fourier_forward(
-            bits[s : s + _PREDICT_BATCH], params, mode=mode, config=config, noise=noise,
-            rng=rng, dtype=dtype, workers=workers, kernel_spec=kernel_spec,
-        )
+        part = bits[s : s + _PREDICT_BATCH]
+        feats = conv_fourier_forward(part, params, mode, config, noise, rng, dtype, workers)
         out.append(head_forward(feats, params).argmax(axis=1))
     return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
 
@@ -993,12 +997,12 @@ def features_tiled(
     gr, gc = layout.grid_rows, layout.grid_cols
     rows = (np.array([layout.cell_origin(r * gc)[0] for r in range(gr)])[:, None] + np.arange(h)).ravel()
     cols = (np.array([layout.cell_origin(c)[1] for c in range(gc)])[:, None] + np.arange(w)).ravel()
-    kernel_spec = _shifted_bank(params.fourier_kernels, params.highpass_mask_enabled, np.float64)
+    bank = _shifted_bank(params.fourier_kernels, params.highpass_mask_enabled, np.float64)
     cap = layout.capacity
 
     def frame_cells(part: np.ndarray) -> np.ndarray:
         spectrum = scipy.fft.fft2(tile(list(part), layout), workers=workers)[None]
-        windows, _ = _inverse_windows(spectrum, kernel_spec, rows, cols, np.float64, workers, False)
+        windows, _ = _inverse_windows(spectrum, bank, rows, cols, np.float64, workers, False)
         return windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)[: len(part)]
 
     return _capture(bits, params, noise, None, cap, frame_cells)
@@ -1061,11 +1065,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
                 raise DataFormatError(f"{path}: truncated tensor {spec['name']}")
             arrays[spec["name"]] = arr
     params = ModelParams(
-        fourier_kernels=arrays["fourier_kernels"],
-        fc1_w=arrays["fc1_w"],
-        fc1_b=arrays["fc1_b"],
-        fc2_w=arrays["fc2_w"],
-        fc2_b=arrays["fc2_b"],
+        **{name: arrays[name] for name in _PARAM_NAMES},
         highpass_mask_enabled=bool(header["highpass_mask_enabled"]),
         image_hw=tuple(header["image_hw"]),
     )

@@ -12,6 +12,8 @@ from opticonv import cli, network
 from opticonv.datapipe import DataFormatError
 from opticonv.fieldio import read_raw
 
+import synthquickdraw
+
 DATA_DIR = Path(os.environ.get("OPTICONV_DATA_DIR", "/root/data"))
 
 
@@ -122,11 +124,12 @@ def assert_one_line_usage_error(code, capsys, needle):
     assert len(err) == 1 and needle in err[0]
 
 
-def stage1_checkpoint(cfg: dict, tmp_path: Path) -> Path:
+def stage1_checkpoint(cfg: dict, tmp_path: Path, n_classes: int = 10) -> Path:
     """A fresh stage-1 checkpoint of the config document's model shape."""
     t = cfg["train"]
-    params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"], hidden=t["hidden"])
-    return network.save_checkpoint(params, tmp_path / "stage1.ckpt", stage=1, seed=0)
+    params = network.init_params(seed=0, n_kernels=t["n_kernels"], grid=t["grid"], hidden=t["hidden"],
+                                 n_classes=n_classes)
+    return network.save_checkpoint(params, tmp_path / f"stage1-{n_classes}.ckpt", stage=1, seed=0)
 
 
 class TestFailureContract:
@@ -176,18 +179,26 @@ class TestFailureContract:
         (["eval", "CKPT", "--dataset", "cifar10"], cli.EXIT_DATA),
         (["finetune", "CKPT", "--dataset", "cifar10"], cli.EXIT_DATA),
         (["train", "--dataset", "cifar10"], cli.EXIT_DATA),
+        (["eval", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["finetune", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
-            "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb"])
+            "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
+            "finetune-classes"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
-        # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28 checkpoint
+        # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
+        # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
+        # 5-class synthetic export
         cfg = json.loads(small_config.read_text())
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
+        cfg["paths"]["quickdraw"] = str(tmp_path / "quickdraw")
+        synthquickdraw.write_npy(tmp_path / "quickdraw", seed=0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones((28, 28), np.uint8))
-        names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt"}
+        names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt",
+                 "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3)}
         out_dir = tmp_path / "runs"
         assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opticonv import network
 from opticonv.datapipe import DataFormatError, TileLayout
@@ -730,6 +731,26 @@ class TestStage2:
         for name in network._PARAM_NAMES:
             assert_same_bits(getattr(got, name), getattr(want, name))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_pool_blocks_match_oracle_bitwise(self, monkeypatch, dtype):
+        # 45 captures of 2 * 8 * 8 float64 pixels pooled 4 per block: 11
+        # blocks and a remainder of 1
+        params, captured = self._captured()
+        pooled, pool = [], network._maxpool2
+
+        def recording_pool(x):
+            pooled.append(len(x))
+            return pool(x)
+
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 4 * 2 * 8 * 8 * 8)
+        monkeypatch.setattr(network, "_maxpool2", recording_pool)
+        got, got_trace = finetune_stage2(params, captured, self.config(dtype))
+        assert pooled == [4] * 11 + [1]
+        want, want_trace = finetune_stage2_oracle(params, captured, self.config(dtype))
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
     def test_float64_keeps_the_float64_head_bitwise(self):
         # the float64 loop as it ran before the dtype rule reached stage 2:
         # float64 pooled features with fc1_w itself
@@ -787,6 +808,77 @@ class TestReadOnlyParams:
         assert not np.array_equal(tuned.fc1_w, params.fc1_w)
 
 
+class TestKernelSpectrumMemo:
+    """Each ModelParams builds its kernel spectrum once per real dtype and
+    keeps it, with its masters, read-only."""
+
+    def test_one_build_per_dtype_across_forwards(self, monkeypatch):
+        # digital float64 and optical share the float64 spectrum
+        params = toy_params(seed=30, mask=True)
+        bits = toy_batch(30, n=3)[0]
+        builds, build = [], network._kernel_spectrum
+
+        def counting_build(p, rdtype, *args):
+            builds.append(np.dtype(rdtype))
+            return build(p, rdtype, *args)
+
+        monkeypatch.setattr(network, "_kernel_spectrum", counting_build)
+        for _ in range(3):
+            conv_fourier_forward(bits, params, dtype="float32")
+            conv_fourier_forward(bits, params, dtype="float64")
+            conv_fourier_forward(bits, params, mode="optical", noise=NoiseSpec(sigma=0.1, seed=1))
+        capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=1))
+        assert builds == [np.dtype(np.float32), np.dtype(np.float64)]
+
+    @pytest.mark.parametrize("mode, dtype", [("digital", "float32"), ("digital", "float64"),
+                                             ("optical", "float64")])
+    def test_memo_gives_the_bits_of_a_fresh_instance(self, mode, dtype):
+        params = toy_params(seed=31, mask=True)
+        bits = toy_batch(31, n=4)[0]
+        noise = NoiseSpec(sigma=0.1, seed=2) if mode == "optical" else None
+
+        def forward(p):
+            return conv_fourier_forward(bits, p, mode=mode, noise=noise, dtype=dtype)
+
+        forward(params)
+        assert_same_bits(forward(params), forward(network.replace(params)))
+
+    def test_forward_makes_masters_and_spectrum_read_only(self):
+        params = toy_params(seed=32)
+        assert params.fourier_kernels.flags.writeable
+        conv_fourier_forward(toy_batch(32, n=2)[0], params)
+        spec = params._kernel_spec(np.float64)
+        for arr in (params.fourier_kernels, spec):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1
+
+    def test_replace_never_reuses_the_old_spectrum(self):
+        params = toy_params(seed=33, mask=True)
+        bits = toy_batch(33, n=3)[0]
+        before = conv_fourier_forward(bits, params)
+        old = params._kernel_spec(np.float64)
+        flipped = network.replace(params, fourier_kernels=-params.fourier_kernels)
+        assert flipped._spectra == {}
+        after = conv_fourier_forward(bits, flipped)
+        assert flipped._kernel_spec(np.float64) is not old
+        assert_same_bits(flipped._kernel_spec(np.float64), network._kernel_spectrum(flipped, np.float64))
+        assert not np.array_equal(before, after)
+        assert network.replace(params)._spectra == {}
+
+    def test_bank_override_neither_reads_nor_fills_the_memo(self):
+        params = toy_params(seed=34, mask=True)
+        bits, labels = toy_batch(34, n=4)
+        bank = np.random.default_rng(34).random(params.fourier_kernels.shape)
+        want = network._loss_and_grads(params, bits, labels, "float64", 1, bank_override=bank)
+        assert params._spectra == {} and params.fourier_kernels.flags.writeable
+        params._spectra[np.dtype(np.float64)] = np.zeros_like(network._kernel_spectrum(params, np.float64))
+        got = network._loss_and_grads(params, bits, labels, "float64", 1, bank_override=bank)
+        assert got[:2] == want[:2]
+        for name in network._PARAM_NAMES:
+            assert_same_bits(got[2][name], want[2][name])
+
+
 class TestEvaluate:
     def test_chance_level_random_params(self):
         rng = np.random.default_rng(15)
@@ -828,19 +920,19 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["digital", "optical"])
     def test_predict_builds_the_kernel_spectrum_once(self, monkeypatch, mode):
-        # 12 images in batches of 4; the features equal per-batch forwards
-        # that each build the spectrum, on one noise stream
+        # 12 images in batches of 4 through per-batch forwards on one noise
+        # stream, then predict on the same instance and on a fresh copy: the
+        # features equal the forwards', and each instance builds its
+        # spectrum once in the mode's dtype however many batches it runs
         params = toy_params(seed=25)
+        fresh = network.replace(params)
         bits = toy_batch(25, n=12)[0]
         noise = NoiseSpec(sigma=0.2, seed=6) if mode == "optical" else None
-        rng = None if noise is None else np.random.default_rng(noise.seed)
-        want = [conv_fourier_forward(bits[s : s + 4], params, mode=mode, noise=noise, rng=rng, dtype="float32")
-                for s in range(0, 12, 4)]
         builds, seen = [], []
         build, head = network._kernel_spectrum, network.head_forward
 
         def counting_build(p, rdtype, *args):
-            builds.append(rdtype)
+            builds.append((id(p), rdtype))
             return build(p, rdtype, *args)
 
         def recording_head(features, p):
@@ -848,14 +940,20 @@ class TestEvaluate:
             return head(features, p)
 
         monkeypatch.setattr(network, "_kernel_spectrum", counting_build)
+        rng = None if noise is None else np.random.default_rng(noise.seed)
+        want = [conv_fourier_forward(bits[s : s + 4], params, mode=mode, noise=noise, rng=rng, dtype="float32")
+                for s in range(0, 12, 4)]
         monkeypatch.setattr(network, "head_forward", recording_head)
         monkeypatch.setattr(network, "_PREDICT_BATCH", 4)
-        preds = network.predict(params, bits, mode=mode, noise=noise, dtype="float32")
-        assert builds == [np.float64 if mode == "optical" else np.float32]
-        assert len(seen) == 3
-        for got, ref in zip(seen, want):
-            assert_same_bits(got, ref)
-        assert_same_bits(preds, np.concatenate([head(f, params).argmax(axis=1) for f in want]))
+        for p in (params, fresh):
+            seen.clear()
+            preds = network.predict(p, bits, mode=mode, noise=noise, dtype="float32")
+            assert len(seen) == 3
+            for got, ref in zip(seen, want):
+                assert_same_bits(got, ref)
+            assert_same_bits(preds, np.concatenate([head(f, params).argmax(axis=1) for f in want]))
+        rdtype = np.float64 if mode == "optical" else np.float32
+        assert builds == [(id(params), rdtype), (id(fresh), rdtype)]
 
     @pytest.mark.parametrize("dtype, needle", [("float32", "unknown mode 'holographic'"),
                                                ("float16", "dtype must be one of")])
@@ -1106,6 +1204,25 @@ class TestCheckpoint:
         assert header["stage"] == 1
         for name in network._PARAM_NAMES:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_round_trip_bit_exact_property(self, tmp_path_factory, data):
+        # finite values with -0.0 and subnormals; the masters read-only
+        # after a forward, as every trained or captured instance has them
+        values = st.one_of(st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        shapes = {"fourier_kernels": (2, 4, 4), "fc1_w": (2, 3), "fc1_b": (3,), "fc2_w": (3, 2), "fc2_b": (2,)}
+        drawn = {name: data.draw(arrays(np.float64, shape, elements=values), label=name)
+                 for name, shape in shapes.items()}
+        params = ModelParams(**drawn, highpass_mask_enabled=data.draw(st.booleans()), image_hw=(2, 2))
+        conv_fourier_forward(np.ones((1, 2, 2), np.uint8), params)
+        assert not params.fourier_kernels.flags.writeable
+        path = save_checkpoint(params, tmp_path_factory.mktemp("ckpt") / "a.ckpt", stage=1, seed=0)
+        loaded, _ = load_checkpoint(path)
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(loaded, name), getattr(params, name))
+        assert save_checkpoint(loaded, path.with_name("b.ckpt"), stage=1, seed=0).read_bytes() == path.read_bytes()
 
     def test_layout_is_header_line_then_raw_tensors(self, tmp_path):
         params = toy_params(seed=22)
