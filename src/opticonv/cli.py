@@ -238,6 +238,8 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
     images = ds.test_images if args.split == "test" else ds.train_images
     limit = args.limit if args.limit else len(images)
     images = images[:limit]
+    if not len(images):
+        raise DataFormatError(f"the {args.dataset} {args.split} split has no images")
     levels = args.levels if args.levels is not None else cfg.quantize.levels
     run_dir = _run_dir(args.out_dir, cfg, "quantize")
     grayscale = images.ndim == 3
@@ -269,7 +271,7 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
         "dataset": args.dataset,
         "split": args.split,
         "count": len(images),
-        "planes_per_image": manifest_rows[0]["planes"] if manifest_rows else 0,
+        "planes_per_image": manifest_rows[0]["planes"],
         "mean_ssim": mean_ssim,
         "images": manifest_rows,
     }
@@ -357,32 +359,20 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# Magic, width, height and maxval separated by whitespace or comments, then
-# exactly one whitespace byte before the samples (which may themselves be
-# whitespace-valued bytes).
-_P5_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*)+(\d+)" * 3 + rb"\s")
-
-
 def _load_sim_image(path: Path) -> np.ndarray:
-    if path.suffix == ".npy":
-        img = np.load(path)
-        if img.ndim != 2:
-            raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
-        return img
-    raw = path.read_bytes()
-    header = _P5_HEADER.match(raw)
-    if header is None:
-        raise DataFormatError(f"{path}: expected .npy or binary P5 graymap")
-    w, h, maxval = (int(t) for t in header.groups())
-    if w < 1 or h < 1 or not 0 < maxval < 65536:
-        raise DataFormatError(f"{path}: bad P5 header {w}x{h}, maxval {maxval}")
-    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-    body = raw[header.end() : header.end() + w * h * dtype.itemsize]
-    if len(body) != w * h * dtype.itemsize:
-        raise DataFormatError(f"{path}: truncated P5 body")
-    img = np.frombuffer(body, dtype=dtype).reshape(h, w)
-    if img.max() > maxval:
-        raise DataFormatError(f"{path}: sample above maxval {maxval}")
+    """A 2-D numeric image from a ``.npy`` array or, for any other suffix, a
+    binary P5 graymap. A file that does not read as one is a data error."""
+    if path.suffix != ".npy":
+        return fieldio.read_pgm(path)
+    try:
+        with open(path, "rb") as f:
+            img = np.lib.format.read_array(f)  # no pickles, no .npz archives
+    except (OSError, EOFError, ValueError) as exc:
+        raise DataFormatError(f"{path}: not a readable .npy array: {exc}") from None
+    if img.dtype.kind not in "buif":
+        raise DataFormatError(f"{path}: expected a numeric image, got dtype {img.dtype}")
+    if img.ndim != 2:
+        raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
     return img
 
 
@@ -410,12 +400,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     g = cfg.train.grid
     if img.shape[0] > g or img.shape[1] > g:
         raise DataFormatError(f"image {img.shape} exceeds the {g}-px simulation grid")
-    if args.windows:
+    h, w = img.shape
+    if args.windows:  # the image's RxC cells, cut row-major from each output
         rows, cols = _parse_windows(args.windows, img.shape)
-    bits = (img > 0).astype(np.uint8)
+        layout = datapipe.TileLayout(rows, cols, gap=0, tile_px=(h // rows, w // cols), frame=(h, w))
     frame = np.zeros((g, g), dtype=np.uint8)
-    r0, c0 = (g - bits.shape[0]) // 2, (g - bits.shape[1]) // 2
-    frame[r0 : r0 + bits.shape[0], c0 : c0 + bits.shape[1]] = bits
+    r0, c0 = (g - h) // 2, (g - w) // 2
+    frame[r0 : r0 + h, c0 : c0 + w] = img > 0
     plane = FieldPlane.from_bits(frame, cfg.optical.dmd_pitch)
 
     if args.checkpoint:
@@ -445,14 +436,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         fieldio.write_pgm(out, run_dir / f"kernel{kidx}.pgm")
         fieldio.write_raw(out, run_dir / f"kernel{kidx}.f64", pitch)
         if args.windows:
-            wh, ww = bits.shape[0] // rows, bits.shape[1] // cols
-            for r in range(rows):
-                for c in range(cols):
-                    win = out[
-                        r0 + r * wh : r0 + (r + 1) * wh, c0 + c * ww : c0 + (c + 1) * ww
-                    ]
-                    fieldio.write_pgm(win, run_dir / f"kernel{kidx}_win{r}_{c}.pgm")
-                    n_windows += 1
+            for i, win in enumerate(datapipe.untile(out[r0 : r0 + h, c0 : c0 + w], layout)):
+                fieldio.write_pgm(win, run_dir / f"kernel{kidx}_win{i // cols}_{i % cols}.pgm")
+                n_windows += 1
     _log(f"simulate: {len(outputs)} kernel outputs, {n_windows} windows -> {run_dir}")
     return EXIT_OK
 

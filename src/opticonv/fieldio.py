@@ -1,19 +1,27 @@
 """Export of field-plane and intensity grids.
 
 Two formats: P5 portable graymaps, max-scaled to 8 bits for quick visual
-inspection, and a lossless raw dump (flat little-endian float64 plus a
-one-line JSON sidecar carrying width/height/pitch) for round-tripping exact
-values between runs.
+inspection and read back (8- or 16-bit) as simulation inputs, and a lossless
+raw dump (flat little-endian float64 plus a one-line JSON sidecar carrying
+width/height/pitch) for round-tripping exact values between runs.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_pgm", "write_raw", "read_raw"]
+from .datapipe import DataFormatError
+
+__all__ = ["write_pgm", "read_pgm", "write_raw", "read_raw"]
+
+# Magic, width, height and maxval separated by whitespace or comments, then
+# exactly one whitespace byte before the samples (which may themselves be
+# whitespace-valued bytes).
+_P5_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*)+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(grid: np.ndarray, path: str | Path) -> Path:
@@ -31,6 +39,27 @@ def write_pgm(grid: np.ndarray, path: str | Path) -> Path:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
         f.write(scaled.tobytes())
     return path
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read a binary P5 graymap: uint8 samples for maxval < 256, else
+    big-endian uint16. A malformed file is a ``DataFormatError``."""
+    path = Path(path)
+    raw = path.read_bytes()
+    header = _P5_HEADER.match(raw)
+    if header is None:
+        raise DataFormatError(f"{path}: not a binary P5 graymap")
+    w, h, maxval = (int(t) for t in header.groups())
+    if w < 1 or h < 1 or not 0 < maxval < 65536:
+        raise DataFormatError(f"{path}: bad P5 header {w}x{h}, maxval {maxval}")
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    body = raw[header.end() : header.end() + w * h * dtype.itemsize]
+    if len(body) != w * h * dtype.itemsize:
+        raise DataFormatError(f"{path}: truncated P5 body")
+    img = np.frombuffer(body, dtype=dtype).reshape(h, w)
+    if img.max() > maxval:
+        raise DataFormatError(f"{path}: sample above maxval {maxval}")
+    return img
 
 
 def write_raw(grid: np.ndarray, path: str | Path, pitch_m: float) -> tuple[Path, Path]:

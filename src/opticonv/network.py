@@ -37,8 +37,6 @@ __all__ = [
     "EvalResult",
     "TrainingDivergedError",
     "init_params",
-    "binarize_ste",
-    "binarize_ste_grad",
     "binarized_kernels",
     "conv_fourier_forward",
     "head_forward",
@@ -234,28 +232,7 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# binarization with straight-through estimator
-
-
-def _require_finite(w: np.ndarray) -> None:
-    if not np.all(np.isfinite(w)):
-        raise ValueError("kernel masters must be finite")
-
-
-def _binarize(w: np.ndarray, dtype) -> np.ndarray:
-    _require_finite(w)
-    return (w > 0).astype(dtype)
-
-
-def binarize_ste(w: np.ndarray) -> np.ndarray:
-    """Forward binarization: w > 0 -> 1, w <= 0 -> 0 (mirrors cannot be -1)."""
-    w = np.asarray(w)
-    return _binarize(w, w.dtype if w.dtype.kind == "f" else np.float64)
-
-
-def binarize_ste_grad(w: np.ndarray, upstream: np.ndarray, clip: float = STE_CLIP) -> np.ndarray:
-    """Straight-through gradient: pass where |w| <= clip, zero elsewhere."""
-    return upstream * (np.abs(w) <= clip)
+# the binary kernel bank
 
 
 def _mask_centre(a: np.ndarray) -> np.ndarray:
@@ -266,22 +243,20 @@ def _mask_centre(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _highpass_mask(grid: int, dtype=np.float64) -> np.ndarray:
-    return _mask_centre(np.ones((grid, grid), dtype=dtype))
-
-
-def binarized_kernels(params: ModelParams, dtype=np.float64) -> np.ndarray:
-    """The hardware view of the kernel bank: binary, center-masked if enabled."""
-    b = _binarize(params.fourier_kernels, dtype)
-    return _mask_centre(b) if params.highpass_mask_enabled else b
+def binarized_kernels(params: ModelParams) -> np.ndarray:
+    """The hardware view of the bank: ``_shifted_bank`` in float64 and
+    centred coordinates. The shift only permutes 0/1 bins, so it is exact."""
+    bank = _shifted_bank(params.fourier_kernels, params.highpass_mask_enabled, np.float64)
+    return scipy.fft.fftshift(bank, axes=(-2, -1))
 
 
 def _shifted_bank(masters: np.ndarray, highpass: bool, dtype) -> np.ndarray:
-    """The binarized bank of ``masters`` (k, G, G), center-masked if
-    ``highpass``, in ifftshift order without the shift: each quadrant is
-    binarized straight into its unshifted place, and the centre mask lands
-    on the corner bins."""
-    _require_finite(masters)
+    """The one rule from masters (k, G, G) to the binary bank: a mirror is on
+    where its master is > 0, and the centre bins are dark if ``highpass``.
+    Non-finite masters are rejected. Each quadrant is binarized straight into
+    its ifftshifted place, so the centre mask lands on the corner bins."""
+    if not np.all(np.isfinite(masters)):
+        raise ValueError("kernel masters must be finite")
     g = masters.shape[-1]
     c = g // 2  # ifftshift moves bin (i + c) % g to i
     bank = np.empty(masters.shape, dtype=dtype)
@@ -749,10 +724,10 @@ def _loss_and_grads(
         spec *= conj[images, None]
         for one in spec:
             corr += one
-    # binarize_ste_grad with the float64 cast in the same pass, in blocks of
-    # kernels that stay in cache (one GEMM per kernel either way, so the
-    # same bits): |w| becomes the pass mask (1.0 or 0.0) in the gradient's
-    # buffer, then the gradient times it
+    # The straight-through gradient (Bengio et al. 2013) with the float64
+    # cast in the same pass, in cache blocks of kernels (one GEMM per kernel
+    # either way, so the same bits): |w| becomes the pass mask (1.0 where
+    # |w| <= STE_CLIP, else 0.0) in the gradient's buffer, times the gradient
     masters = params.fourier_kernels
     dbank = np.empty(masters.shape)
     for kernels in _blocks(k, dbank[0].nbytes):

@@ -34,6 +34,7 @@ import numpy as np
 import scipy.fft
 
 __all__ = [
+    "FrameOverflowError",
     "OpticalConfig",
     "FieldPlane",
     "ApertureMask",

@@ -165,15 +165,16 @@ def conv_window_oracle(
 def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: str):
     """One stage-1 loss, accuracy and gradient dict: the conv forward and the
     backward's zero-padded transform each in one shot over the batch, and the
-    high-pass mask as a full-grid multiply. The head is written out: its
-    three feature-sized GEMMs, the pool and the gain backward run in the
-    features' dtype, the rest in float64."""
+    high-pass mask as a full-grid multiply. The binarization (w > 0), the
+    straight-through gradient (passed where |w| <= STE_CLIP) and the head
+    are written out. The head's three feature-sized GEMMs, the pool and the
+    gain backward run in the features' dtype, the rest in float64."""
     rdtype = np.float32 if dtype == "float32" else np.float64
     g = params.grid
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
     sizes = tuple(min(scipy.fft.next_fast_len(2 * s - 1), g) for s in (h, w))
-    bank = network.binarize_ste(params.fourier_kernels).astype(rdtype)
+    bank = (params.fourier_kernels > 0).astype(rdtype)
     if params.highpass_mask_enabled:
         bank = bank * highpass_mask_oracle(g, rdtype)
     bank = scipy.fft.ifftshift(bank, axes=(-2, -1))
@@ -222,7 +223,7 @@ def loss_and_grads_oracle(params, bits: np.ndarray, labels: np.ndarray, dtype: s
     for one, spec in zip(grad_spec, spectrum):
         corr += one * spec.conj()
     dbank = network._kernel_gradient(corr, (h, w), g).astype(np.float64)
-    dmasters = network.binarize_ste_grad(params.fourier_kernels, dbank)
+    dmasters = dbank * (np.abs(params.fourier_kernels) <= network.STE_CLIP)
     if params.highpass_mask_enabled:
         dmasters = dmasters * highpass_mask_oracle(g)
     grads["fourier_kernels"] = dmasters

@@ -36,14 +36,15 @@ def make_class(index: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return images.astype(np.uint8)
 
 
-def write_npy(root: str | Path, seed: int) -> dict[str, np.ndarray]:
-    """Write one ``<class>.npy`` per class under ``root``; returns the
-    (N, SIDE, SIDE) bitmaps written for each class name."""
+def write_npy(root: str | Path, seed: int, counts: tuple[int, ...] = COUNTS) -> dict[str, np.ndarray]:
+    """Write one ``<class>.npy`` per class under ``root``, ``counts[i]``
+    images for class ``i``; returns the (N, SIDE, SIDE) bitmaps written for
+    each class name."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     written = {}
-    for index, (name, n) in enumerate(zip(CLASSES, COUNTS)):
+    for index, (name, n) in enumerate(zip(CLASSES, counts)):
         images = make_class(index, n, rng)
         np.save(root / f"{name}.npy", images.reshape(n, -1) if index % 2 == 0 else images)
         written[name] = images

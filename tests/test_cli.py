@@ -10,7 +10,7 @@ import pytest
 
 from opticonv import cli, network
 from opticonv.datapipe import DataFormatError
-from opticonv.fieldio import read_raw
+from opticonv.fieldio import read_raw, write_pgm
 
 import synthquickdraw
 
@@ -181,24 +181,30 @@ class TestFailureContract:
         (["train", "--dataset", "cifar10"], cli.EXIT_DATA),
         (["eval", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
         (["finetune", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["--config", "SPARSE", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
-            "finetune-classes"])
+            "finetune-classes", "quantize-empty"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
         # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
-        # 5-class synthetic export
+        # 5-class synthetic export. The SPARSE config, which overrides the
+        # first, points paths.quickdraw at an export of 2 images per class,
+        # whose test split rounds to no images.
         cfg = json.loads(small_config.read_text())
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
         cfg["paths"]["quickdraw"] = str(tmp_path / "quickdraw")
         synthquickdraw.write_npy(tmp_path / "quickdraw", seed=0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
+        sparse = tmp_path / "sparse.json"
+        synthquickdraw.write_npy(tmp_path / "sparse-quickdraw", seed=0, counts=(2,) * 5)
+        sparse.write_text(json.dumps({**cfg, "paths": {**cfg["paths"], "quickdraw": str(tmp_path / "sparse-quickdraw")}}))
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones((28, 28), np.uint8))
         names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt",
-                 "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3)}
+                 "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3), "SPARSE": sparse}
         out_dir = tmp_path / "runs"
         assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
@@ -320,6 +326,22 @@ class TestFailureContract:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "--limit" in err.strip().splitlines()[-1] and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["empty", "truncated", "not-numpy", "object-array"])
+    def test_simulate_malformed_npy_is_data_error(self, small_config, tmp_path, capsys, case):
+        img_path = tmp_path / "img.npy"
+        np.save(img_path, np.ones((16, 16), np.uint8))
+        if case == "object-array":
+            np.save(img_path, np.array([[{"a": 1}, None]], dtype=object), allow_pickle=True)
+        else:
+            body = {"empty": b"", "truncated": img_path.read_bytes()[:-5], "not-numpy": b"P5\n1 1\n255\n\x00"}
+            img_path.write_bytes(body[case])
+        out_dir = tmp_path / "runs"
+        code = run(["--config", small_config, "--out-dir", out_dir, "simulate", img_path])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(img_path) in err[0]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3)], ids=["0-D", "1-D", "3-D"])
@@ -523,6 +545,25 @@ class TestSimulateCommand:
                     "simulate", img_path, "--kernels", 2, "--windows", "2x2"]) == 0
         run_dir = next(out_dir.glob("simulate-*"))
         assert len(list(run_dir.glob("kernel*_win*.pgm"))) == 8
+
+    def test_window_dumps_are_the_output_crops(self, small_config, tmp_path):
+        # a 30x21 image cut 3x2: 10x10 cells, the remainder row and column dropped
+        img_path = tmp_path / "frame.npy"
+        np.save(img_path, np.random.default_rng(4).integers(0, 2, (30, 21)).astype(np.uint8))
+        out_dir = tmp_path / "runs"
+        assert run(["--config", small_config, "--out-dir", out_dir,
+                    "simulate", img_path, "--kernels", 2, "--windows", "3x2"]) == 0
+        run_dir = next(out_dir.glob("simulate-*"))
+        g = json.loads(small_config.read_text())["train"]["grid"]
+        r0, c0 = (g - 30) // 2, (g - 21) // 2
+        for k in range(2):
+            out, _ = read_raw(run_dir / f"kernel{k}.f64")
+            for r in range(3):
+                for c in range(2):
+                    crop = out[r0 + 10 * r : r0 + 10 * (r + 1), c0 + 10 * c : c0 + 10 * (c + 1)]
+                    want = write_pgm(crop, tmp_path / "want.pgm").read_bytes()
+                    assert (run_dir / f"kernel{k}_win{r}_{c}.pgm").read_bytes() == want
+        assert len(list(run_dir.glob("kernel*_win*.pgm"))) == 12
 
     def test_one_pixel_windows(self, small_config, tmp_path):
         img_path = tmp_path / "img.npy"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opticonv.fieldio import read_raw, write_pgm, write_raw
+from opticonv.datapipe import DataFormatError
+from opticonv.fieldio import read_pgm, read_raw, write_pgm, write_raw
 
 
 class TestPgm:
@@ -21,6 +22,23 @@ class TestPgm:
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(np.zeros((2, 2, 2)), tmp_path / "bad.pgm")
+
+    def test_read_round_trips_a_full_scale_grid(self, tmp_path):
+        grid = np.random.default_rng(1).integers(0, 256, (5, 7)).astype(np.uint8)
+        grid[2, 3] = 255  # full scale: write_pgm keeps every sample
+        back = read_pgm(write_pgm(grid, tmp_path / "x.pgm"))
+        assert back.dtype == np.uint8 and back.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("raw, needle", [
+        (b"P6\n2 2\n255\n\x00\x00\x00\x00", "not a binary P5"),
+        (b"P5\n0 2\n255\n", "bad P5 header"),
+        (b"P5\n2 1\n9\n\x00\x0a", "above maxval"),
+    ], ids=["magic", "zero-width", "above-maxval"])
+    def test_read_rejects_malformed_files(self, tmp_path, raw, needle):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=needle):
+            read_pgm(path)
 
 
 class TestRaw:

@@ -14,8 +14,6 @@ from opticonv.network import (
     ModelParams,
     TrainConfig,
     TrainingDivergedError,
-    binarize_ste,
-    binarize_ste_grad,
     binarized_kernels,
     capture_features,
     conv_fourier_forward,
@@ -39,6 +37,7 @@ from oracles import (
     features_tiled_oracle,
     finetune_stage2_oracle,
     highpass_mask_oracle,
+    loss_and_grads_oracle,
     maxpool2_backward_oracle,
     maxpool2_oracle,
     momentum_step_oracle,
@@ -66,23 +65,42 @@ def assert_same_bits(got, want):
 
 class TestBinarizeSte:
     def test_forward_values(self):
-        out = binarize_ste(np.array([-0.5, 0.2, 0.0]))
-        assert out.tolist() == [0.0, 1.0, 0.0]
-
-    def test_all_positive_passes_gradient(self):
-        w = np.full((3, 3), 0.4)
-        assert binarize_ste(w).all()
-        g = binarize_ste_grad(w, np.ones_like(w))
-        assert (g == 1).all()
-
-    def test_clip_blocks_gradient(self):
-        w = np.array([0.5, 1.5, -2.0])
-        g = binarize_ste_grad(w, np.ones(3))
-        assert g.tolist() == [1.0, 0.0, 0.0]
+        # a mirror is on where its master is > 0: -0.0 is off, the least subnormal on
+        values = [-0.5, 0.2, 0.0, -0.0, 5e-324, -5e-324, 1.5, -2.0]
+        masters = np.resize(values, (1, 8, 8))
+        b = binarized_kernels(network.replace(toy_params(k=1, grid=8), fourier_kernels=masters))
+        assert b.dtype == np.float64
+        assert b.ravel().tolist() == np.resize([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], 64).tolist()
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            binarize_ste(np.array([np.inf]))
+        bits, _ = toy_batch(0)
+        for bad in (np.inf, -np.inf, np.nan):
+            masters = toy_params().fourier_kernels.copy()
+            masters[1, 3, 5] = bad
+            params = network.replace(toy_params(), fourier_kernels=masters)
+            with pytest.raises(ValueError, match="finite"):
+                binarized_kernels(params)
+            with pytest.raises(ValueError, match="finite"):
+                conv_fourier_forward(bits, params)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_step_clip_matches_oracle_bitwise(self, dtype):
+        # masters drawn past +-STE_CLIP, mask on: the step's fused
+        # straight-through gradient equals the oracle's and is exactly zero
+        # wherever |w| > STE_CLIP
+        params = toy_params(seed=8, k=3, mask=True)
+        masters = params.fourier_kernels * 4.0
+        params = network.replace(params, fourier_kernels=masters)
+        bits, labels = toy_batch(8)
+        loss, acc, grads = network._loss_and_grads(params, bits, labels, dtype, 1)
+        want_loss, want_acc, want = loss_and_grads_oracle(params, bits, labels, dtype)
+        assert (loss, acc) == (want_loss, want_acc)
+        for name, value in want.items():
+            assert_same_bits(grads[name].astype(np.float64), value)
+        dk = grads["fourier_kernels"]
+        outside = np.abs(masters) > network.STE_CLIP
+        assert outside.any() and not dk[outside].any()
+        assert dk[~outside].any()
 
 
 class TestKernelBank:
@@ -210,7 +228,7 @@ class TestWindowedEngine:
         bank0 = binarized_kernels(params)
         passes = np.abs(params.fourier_kernels) <= network.STE_CLIP
         if mask:
-            passes &= network._highpass_mask(g) > 0
+            passes &= highpass_mask_oracle(g) > 0
         assert not grads["fourier_kernels"][~passes].any()
         step = 1e-6
         coords = np.flatnonzero(passes)
@@ -334,7 +352,7 @@ class TestBlockedEngine:
         rdtype = np.float32 if dtype == "float32" else np.float64
         params = init_params(seed=k, n_kernels=k, grid=64, image_hw=(28, 28))
         sizes = (55, 55)  # next_fast_len(2 * 28 - 1) on the 64-px grid
-        bank = scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1))
+        bank = scipy.fft.ifftshift(binarized_kernels(params).astype(rdtype), axes=(-2, -1))
         kernel_spec = network._resample_spectrum(bank, (28, 28), sizes)
         step = network._blocks(1 << 10, k * 55 * 55 * 2 * np.dtype(rdtype).itemsize)[0].stop
         rng = np.random.default_rng(k)
@@ -355,7 +373,7 @@ class TestBlockedEngine:
         monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 55 * 55 * 2 * np.dtype(rdtype).itemsize)
         bits = np.random.default_rng(5).integers(0, 2, (3, 28, 28)).astype(np.uint8)
         intensity, fields, spectrum = network._conv_digital(bits, params, dtype=dtype)
-        bank = scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1))
+        bank = scipy.fft.ifftshift(binarized_kernels(params).astype(rdtype), axes=(-2, -1))
         kernel_spec = network._resample_spectrum(bank, (28, 28), (55, 55))
         want_intensity, want_fields = conv_window_oracle(spectrum, kernel_spec, (28, 28))
         assert_same_bits(intensity, want_intensity)
@@ -467,8 +485,10 @@ class TestEngineShapeSweep:
         block = per_block * sizes[0] * sizes[1] * 2 * np.dtype(rdtype).itemsize
         with mock.patch.object(network, "_BLOCK_BYTES", block):
             intensity, fields, spectrum = network._conv_digital(bits, params, dtype=dtype)
-        bank = network._shifted_bank(params.fourier_kernels, mask, rdtype)
-        assert_same_bits(bank, scipy.fft.ifftshift(binarized_kernels(params, rdtype), axes=(-2, -1)))
+        binary = params.fourier_kernels > 0
+        bank = scipy.fft.ifftshift(binary * highpass_mask_oracle(g) if mask else binary, axes=(-2, -1))
+        bank = bank.astype(rdtype)
+        assert_same_bits(network._shifted_bank(params.fourier_kernels, mask, rdtype), bank)
         kernel_spec = network._resample_spectrum(bank, (h, w), sizes)
         want_intensity, want_fields = conv_window_oracle(spectrum, kernel_spec, (h, w))
         assert_same_bits(intensity, want_intensity)
