@@ -3,9 +3,11 @@
 Subcommands: quantize, train, finetune, eval, simulate, perf. One structured
 JSON config document carries every knob with paper-faithful defaults;
 command-line flags override single values (flag wins). Artifacts land in a
-run directory named by the hash of the effective config, so rerunning the
-same invocation reproduces the same files byte for byte (timestamps appear
-only in log lines).
+run directory named by the invocation: the subcommand, the effective config
+(--config and --seed act through it) and every argument that changes the
+files written. --out-dir, --threads and --log-every do not name the run.
+Rerunning an invocation reproduces its files byte for byte (timestamps
+appear only in log lines).
 
 Exit codes: 0 success, 1 usage error (including a flag or config value the
 library rejects), 2 data/format error, 3 numerical failure. Each failure
@@ -23,7 +25,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,55 +133,50 @@ def _check_type(value, type_name: str, where: str) -> None:
         raise UsageError(f"config key {where} must be finite, got {json.dumps(value)}")
 
 
-def _build_section(default, doc: dict, where: str):
-    """``default`` (the section as ``RunConfig`` sets it) with ``doc``'s keys
-    laid over it, so a key the document leaves out keeps the config default."""
-    allowed = {f.name for f in fields(default)}
-    unknown = set(doc) - allowed
+def _overlay(default, doc, where: str):
+    """``default`` with the JSON object ``doc`` laid over it, so a key the
+    document leaves out keeps its default. A field whose default is a
+    dataclass recurses; every other value is type-checked under its dotted
+    key path ``where``."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"config {where or 'document'} must be a JSON object, got {json.dumps(doc)}")
+    types = {f.name: f.type for f in fields(default)}
+    paths = {key: f"{where}.{key}" if where else key for key in doc}
+    unknown = sorted(paths[key] for key in doc if key not in types)
     if unknown:
-        raise UsageError(f"unknown config key(s) {sorted(unknown)} in section {where!r}")
-    coerced = dict(doc)
-    for f in fields(default):
-        if f.name in coerced:
-            _check_type(coerced[f.name], f.type, f"{where}.{f.name}")
-            if f.type == "tuple[str, ...]":
-                coerced[f.name] = tuple(coerced[f.name])
-    return replace(default, **coerced)
+        raise UsageError(f"unknown config key(s) {unknown}")
+    values = {}
+    for key, value in doc.items():
+        if is_dataclass(getattr(default, key)):
+            values[key] = _overlay(getattr(default, key), value, paths[key])
+        else:
+            _check_type(value, types[key], paths[key])
+            values[key] = tuple(value) if isinstance(value, list) else value
+    return replace(default, **values)
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise UsageError("config document must be a JSON object")
-    allowed = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise UsageError(f"unknown top-level config key(s): {sorted(unknown)}")
-    defaults = RunConfig()
-    kwargs = {}
-    for key, value in doc.items():
-        if key == "seed":
-            _check_type(value, "int", "seed")
-            kwargs["seed"] = value
-        else:
-            if not isinstance(value, dict):
-                raise UsageError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(getattr(defaults, key), value, key)
-    cfg = RunConfig(**kwargs)
+    cfg = _overlay(RunConfig(), json.loads(Path(path).read_text()), "")
     _train_config(cfg)  # the library's own range checks, before any run directory exists
     return cfg
 
 
-def config_digest(cfg: RunConfig, command: str) -> str:
-    doc = {"command": command, **asdict(cfg)}
-    blob = json.dumps(doc, sort_keys=True, default=str).encode()
+# arguments that change no file a command writes (config and seed act through the config)
+_UNNAMED_ARGS = ("config", "seed", "out_dir", "threads", "log_every", "fn")
+
+
+def config_digest(cfg: RunConfig, args: argparse.Namespace) -> str:
+    """Digest of an invocation: the effective config and every parsed
+    argument that changes the files the command writes."""
+    named = {k: v for k, v in vars(args).items() if k not in _UNNAMED_ARGS}
+    blob = json.dumps({"args": named, "config": asdict(cfg)}, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _run_dir(out_dir: str, cfg: RunConfig, command: str) -> Path:
-    d = Path(out_dir) / f"{command}-{config_digest(cfg, command)}"
+def _run_dir(args, cfg: RunConfig) -> Path:
+    d = Path(args.out_dir) / f"{args.command}-{config_digest(cfg, args)}"
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -202,22 +199,27 @@ def _load_dataset(kind: str, cfg: RunConfig) -> datapipe.Dataset:
     raise UsageError(f"unknown dataset {kind!r}")
 
 
-def _load_split(
-    args, cfg: RunConfig, split: str, limit: int | None, params: network.ModelParams | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _split(args, cfg: RunConfig, split: str, limit: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     """The first ``limit`` (all when 0 or None) images of ``split`` ("train"
-    or "test") of ``args.dataset``, binarized, their labels and the class
-    count. A split with no images, images that are not single-channel, or
-    that do not fit the checkpoint ``params`` (its window, or a label past
-    its classes), are a data error."""
+    or "test") of ``args.dataset``, their labels and the class count. A
+    split with no images is a data error."""
     ds = _load_dataset(args.dataset, cfg)
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if not len(images):
         raise DataFormatError(f"the {args.dataset} {split} split has no images")
-    if images.ndim != 3:
-        raise DataFormatError(f"{args.dataset} images {images.shape[1:]} are not single-channel")
     if limit:
         images, labels = images[:limit], labels[:limit]
+    return images, labels, ds.n_classes
+
+
+def _load_split(args, cfg: RunConfig, split: str, limit: int | None,
+                params: network.ModelParams | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_split``, binarized. Images that are not single-channel, or that do
+    not fit the checkpoint ``params`` (its window, or a label past its
+    classes), are a data error."""
+    images, labels, n_classes = _split(args, cfg, split, limit)
+    if images.ndim != 3:
+        raise DataFormatError(f"{args.dataset} images {images.shape[1:]} are not single-channel")
     if params is not None:
         window = params.image_hw
         if images.shape[1:] != window:
@@ -226,7 +228,7 @@ def _load_split(
             raise DataFormatError(f"{args.dataset} label {labels.max()} is past the checkpoint's "
                                   f"{params.n_classes} classes")
     bits = np.stack([datapipe.binarize_gray(img, cfg.quantize.threshold_frac) for img in images])
-    return bits, labels, ds.n_classes
+    return bits, labels, n_classes
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +236,9 @@ def _load_split(
 
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
-    ds = _load_dataset(args.dataset, cfg)
-    images = ds.test_images if args.split == "test" else ds.train_images
-    limit = args.limit if args.limit else len(images)
-    images = images[:limit]
-    if not len(images):
-        raise DataFormatError(f"the {args.dataset} {args.split} split has no images")
+    images, _, _ = _split(args, cfg, args.split, args.limit)
     levels = args.levels if args.levels is not None else cfg.quantize.levels
-    run_dir = _run_dir(args.out_dir, cfg, "quantize")
+    run_dir = _run_dir(args, cfg)
     grayscale = images.ndim == 3
     scores = []
     manifest_rows = []
@@ -291,7 +288,6 @@ def _train_config(cfg: RunConfig) -> network.TrainConfig:
         epochs_stage1=t.epochs_stage1,
         epochs_stage2=t.epochs_stage2,
         seed=cfg.seed,
-        noise=cfg.noise,
         grid=t.grid,
         dtype=t.dtype,
     )
@@ -314,7 +310,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         (bits, labels), tconf, params=params, n_classes=n_classes,
         workers=args.threads, log_every=args.log_every,
     )
-    run_dir = _run_dir(args.out_dir, cfg, "train")
+    run_dir = _run_dir(args, cfg)
     ckpt = network.save_checkpoint(params, run_dir / "stage1.ckpt", stage=1, seed=cfg.seed)
     network.write_trace_csv(trace, run_dir / "trace.csv")
     _log(f"checkpoint -> {ckpt}")
@@ -331,7 +327,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
         params, bits, cfg.optical, cfg.noise, seed=cfg.seed, workers=args.threads
     )
     params, trace = network.finetune_stage2(params, (captured, labels), tconf)
-    run_dir = _run_dir(args.out_dir, cfg, "finetune")
+    run_dir = _run_dir(args, cfg)
     ckpt = network.save_checkpoint(params, run_dir / "stage2.ckpt", stage=2, seed=cfg.seed)
     network.write_trace_csv(trace, run_dir / "trace.csv")
     _log(f"checkpoint -> {ckpt}")
@@ -353,7 +349,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "accuracy": result.accuracy,
         "confusion": result.confusion.tolist(),
     }
-    run_dir = _run_dir(args.out_dir, cfg, "eval")
+    run_dir = _run_dir(args, cfg)
     (run_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(f"{args.dataset}  accuracy {result.accuracy * 100:.2f}%  ({result.n_samples} samples)")
     return EXIT_OK
@@ -424,7 +420,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]
 
-    run_dir = _run_dir(args.out_dir, cfg, "simulate")
+    run_dir = _run_dir(args, cfg)
     pitch = cfg.optical.dmd_pitch
     fieldio.write_pgm(frame, run_dir / "input.pgm")
     fieldio.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
@@ -454,7 +450,7 @@ def cmd_perf(args, cfg: RunConfig) -> int:
             perfmodel.custom_scenario(m, n, input_parallelism=i, kernel_parallelism=k, frame_rate_hz=f)
         )
     rows = perfmodel.sweep_report(presets, modes=cfg.perf.modes)
-    run_dir = _run_dir(args.out_dir, cfg, "perf")
+    run_dir = _run_dir(args, cfg)
     csv_path = perfmodel.write_report_csv(rows, run_dir / "perf.csv")
     json_path = perfmodel.write_report_json(rows, run_dir / "perf.json")
     _log(f"{len(rows)} report rows -> {csv_path}, {json_path}")
@@ -571,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataFormatError, OSError, json.JSONDecodeError) as exc:  # OSError: an input that will not read
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as exc:

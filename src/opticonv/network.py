@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -111,6 +112,9 @@ class ModelParams:
             raise ValueError("native image window must have even sides for 2x2 pooling")
         if h > self.grid or w > self.grid:
             raise ValueError(f"native image window {(h, w)} exceeds the {self.grid}-px grid")
+        w1, b1, w2, b2 = (a.shape for a in (self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b))
+        if (len(w1), len(w2)) != (2, 2) or b1 != w1[1:] or w2[:1] != b1 or b2 != w2[1:]:
+            raise ValueError(f"head shapes {w1}, {b1}, {w2}, {b2} are not (D, H), (H,), (H, C), (C,)")
         k = self.fourier_kernels.shape[0]
         if self.fc1_w.shape[0] != k * (h // 2) * (w // 2):
             raise ValueError(
@@ -1033,18 +1037,31 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             header = None
         if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path} is not a model checkpoint")
+        tensors, hw = header.get("tensors"), header.get("image_hw")
+        if not (isinstance(tensors, list) and isinstance(header.get("highpass_mask_enabled"), bool)
+                and all(isinstance(t, dict) and isinstance(t.get("name"), str) and _is_shape(t.get("shape"))
+                        for t in tensors) and _is_shape(hw) and len(hw) == 2):
+            raise DataFormatError(f"{path}: malformed checkpoint header")
+        end = os.fstat(f.fileno()).st_size
         arrays = {}
-        for spec in header["tensors"]:
-            arr = np.empty(tuple(spec["shape"]), dtype="<f8")
-            if f.readinto(arr) != arr.nbytes:
+        for spec in tensors:
+            if 8 * math.prod(spec["shape"]) > end - f.tell():  # before allocating what the header claims
                 raise DataFormatError(f"{path}: truncated tensor {spec['name']}")
-            arrays[spec["name"]] = arr
-    params = ModelParams(
-        **{name: arrays[name] for name in _PARAM_NAMES},
-        highpass_mask_enabled=bool(header["highpass_mask_enabled"]),
-        image_hw=tuple(header["image_hw"]),
-    )
+            arrays[spec["name"]] = arr = np.empty(spec["shape"], dtype="<f8")
+            f.readinto(arr)
+    missing = [name for name in _PARAM_NAMES if name not in arrays]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint has no tensor(s) {missing}")
+    try:
+        params = ModelParams(**{name: arrays[name] for name in _PARAM_NAMES},
+                             highpass_mask_enabled=header["highpass_mask_enabled"], image_hw=tuple(hw))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     return params, header
+
+
+def _is_shape(value) -> bool:
+    return isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)
 
 
 def write_trace_csv(trace: Sequence[dict], path: str | Path) -> Path:

@@ -49,15 +49,15 @@ def run(args):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"trian": {}}))
-        assert run(["--config", path, "perf"]) == cli.EXIT_USAGE
+        assert_one_line_usage_error(run(["--config", path, "perf"]), capsys, "['trian']")
 
-    def test_unknown_nested_key_rejected(self, tmp_path):
+    def test_unknown_nested_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"train": {"learning_rate": 1}}))
-        assert run(["--config", path, "perf"]) == cli.EXIT_USAGE
+        assert_one_line_usage_error(run(["--config", path, "perf"]), capsys, "['train.learning_rate']")
 
     def test_malformed_json_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -94,10 +94,15 @@ class TestConfig:
         assert unread == []
 
     def test_default_digests_pinned(self):
-        # run directories are named by these digests
-        want = {"quantize": "c91242115996", "train": "122e36bc1916", "finetune": "f3f512e39bc9",
-                "eval": "4184610b258d", "simulate": "5904d986f411", "perf": "c7d588fc5921"}
-        assert {cmd: cli.config_digest(cli.RunConfig(), cmd) for cmd in want} == want
+        # run directories are named by these digests of default invocations
+        argv = {"quantize": ["--dataset", "mnist"], "train": ["--dataset", "mnist"],
+                "finetune": ["stage1.ckpt", "--dataset", "mnist"], "eval": ["stage2.ckpt", "--dataset", "mnist"],
+                "simulate": ["img.npy"], "perf": []}
+        want = {"quantize": "88b73ba3dc64", "train": "7ae9b8a452b1", "finetune": "0e79118e8a19",
+                "eval": "e42c3d8ced1d", "simulate": "269f567a0c1e", "perf": "6e0ae9470066"}
+        parser = cli.build_parser()
+        got = {cmd: cli.config_digest(cli.RunConfig(), parser.parse_args([cmd, *rest])) for cmd, rest in argv.items()}
+        assert got == want
 
     def test_partial_noise_section_keeps_config_defaults(self, tmp_path):
         # keys left out take RunConfig's noise defaults, not the library NoiseSpec's
@@ -106,7 +111,8 @@ class TestConfig:
         cfg = cli.load_run_config(path)
         assert (cfg.noise.sigma, cfg.noise.dark, cfg.noise.bin_factor, cfg.noise.seed) == (
             0.1, 1e-4, 1, 1)
-        assert cli.config_digest(cfg, "eval") == "97ed264e2f1a"
+        args = cli.build_parser().parse_args(["eval", "stage2.ckpt", "--dataset", "mnist"])
+        assert cli.config_digest(cfg, args) == "53acba18523d"
 
     @pytest.mark.parametrize("doc", [{"layout": {"gap_px": 30}},
                                      {"optical": {"incidence_angle": 57.0}}],
@@ -182,16 +188,22 @@ class TestFailureContract:
         (["eval", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
         (["finetune", "CKPT3", "--dataset", "quickdraw"], cli.EXIT_DATA),
         (["--config", "SPARSE", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["simulate", "DIR"], cli.EXIT_DATA),
+        (["eval", "DIR", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["--config", "DIR", "perf"], cli.EXIT_DATA),
+        (["eval", "HEADLESS", "--dataset", "mnist"], cli.EXIT_DATA),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
-            "finetune-classes", "quantize-empty"])
+            "finetune-classes", "quantize-empty", "simulate-directory", "eval-directory",
+            "config-directory", "eval-malformed-checkpoint"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
         # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
         # 5-class synthetic export. The SPARSE config, which overrides the
         # first, points paths.quickdraw at an export of 2 images per class,
-        # whose test split rounds to no images.
+        # whose test split rounds to no images. DIR is a directory where a
+        # file belongs; HEADLESS has the checkpoint magic and nothing else.
         cfg = json.loads(small_config.read_text())
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
         cfg["paths"]["quickdraw"] = str(tmp_path / "quickdraw")
@@ -203,8 +215,11 @@ class TestFailureContract:
         sparse.write_text(json.dumps({**cfg, "paths": {**cfg["paths"], "quickdraw": str(tmp_path / "sparse-quickdraw")}}))
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones((28, 28), np.uint8))
+        headless = tmp_path / "headless.ckpt"
+        headless.write_text('{"format": "opticonv-checkpoint"}\n')
         names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt",
-                 "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3), "SPARSE": sparse}
+                 "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3), "SPARSE": sparse,
+                 "DIR": tmp_path / "quickdraw", "HEADLESS": headless}
         out_dir = tmp_path / "runs"
         assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
@@ -306,10 +321,17 @@ class TestFailureContract:
         ("train", "lr_stage2", 0, "lr_stage2"),
         ("train", "momentum", 5.0, "momentum"),
         ("optical", "wavelength", float("-inf"), "optical.wavelength"),
+        (None, None, [1], "config document must be a JSON object"),
+        (None, "train", 3, "config train must be a JSON object"),
+        (None, "seed", {}, "config key seed must be int"),
+        ("train", "learning_rate", 1, "['train.learning_rate']"),
     ])
     def test_config_value_rejected(self, small_config, tmp_path, capsys, section, key, value, needle):
         cfg = json.loads(small_config.read_text())
-        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        if key is None:  # the value is the whole document
+            cfg = value
+        else:
+            (cfg if section is None else cfg.setdefault(section, {}))[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         out_dir = tmp_path / "runs"
@@ -408,23 +430,39 @@ class TestQuantizeCommand:
 class TestTrainEvalPipeline:
     def test_train_finetune_eval(self, small_config, tmp_path, capsys):
         out_dir = tmp_path / "runs"
-        assert run(["--config", small_config, "--out-dir", out_dir,
-                    "train", "--dataset", "mnist"]) == 0
+
+        def cli_run(*argv):
+            return run(["--config", small_config, "--out-dir", out_dir, *argv])
+
+        assert cli_run("train", "--dataset", "mnist") == 0
         ckpt = next(out_dir.glob("train-*")) / "stage1.ckpt"
         assert ckpt.exists()
         assert (ckpt.parent / "trace.csv").read_text().startswith("epoch,split")
+        # flags that change no file name no new run
+        stage1 = ckpt.read_bytes()
+        assert cli_run("--threads", 2, "train", "--dataset", "mnist", "--log-every", 1) == 0
+        assert list(out_dir.glob("train-*")) == [ckpt.parent] and ckpt.read_bytes() == stage1
 
-        assert run(["--config", small_config, "--out-dir", out_dir,
-                    "finetune", ckpt, "--dataset", "mnist"]) == 0
+        assert cli_run("finetune", ckpt, "--dataset", "mnist") == 0
         ckpt2 = next(out_dir.glob("finetune-*")) / "stage2.ckpt"
         assert ckpt2.exists()
 
-        assert run(["--config", small_config, "--out-dir", out_dir,
-                    "eval", ckpt2, "--dataset", "mnist", "--limit", 100]) == 0
-        metrics = json.loads((next(out_dir.glob("eval-*")) / "metrics.json").read_text())
-        assert metrics["n"] == 100
-        assert 0.0 <= metrics["accuracy"] <= 1.0
+        # the digital and the optical eval each keep their own metrics
+        for mode in ("digital", "optical"):
+            assert cli_run("eval", ckpt2, "--dataset", "mnist", "--limit", 100, "--mode", mode) == 0
+        metrics = [json.loads(p.read_text()) for p in out_dir.glob("eval-*/metrics.json")]
+        assert sorted(m["mode"] for m in metrics) == ["digital", "optical"]
+        assert all(m["n"] == 100 and 0.0 <= m["accuracy"] <= 1.0 for m in metrics)
         assert "accuracy" in capsys.readouterr().out
+        # another limit and another checkpoint each name a new run
+        assert cli_run("eval", ckpt2, "--dataset", "mnist", "--limit", 50) == 0
+        assert cli_run("eval", ckpt, "--dataset", "mnist", "--limit", 100) == 0
+        assert len(list(out_dir.glob("eval-*/metrics.json"))) == 4
+        # as does simulate on another image
+        for seed in (0, 1):
+            np.save(tmp_path / f"img{seed}.npy", np.random.default_rng(seed).integers(0, 2, (28, 28)))
+            assert cli_run("simulate", tmp_path / f"img{seed}.npy") == 0
+        assert len(list(out_dir.glob("simulate-*/kernel0.f64"))) == 2
 
     def test_deterministic_checkpoints(self, small_config, tmp_path):
         a = tmp_path / "a"

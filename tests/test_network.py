@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from unittest import mock
 
@@ -1269,6 +1270,41 @@ class TestCheckpoint:
         f.write_bytes(head)
         with pytest.raises(DataFormatError, match="not a model checkpoint"):
             load_checkpoint(f)
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda h: h.pop("tensors"), "malformed checkpoint header"),
+        (lambda h: h.update(tensors={"fc1_w": [2]}), "malformed checkpoint header"),
+        (lambda h: h["tensors"][0].pop("shape"), "malformed checkpoint header"),
+        (lambda h: h["tensors"][0].update(shape=[-1]), "malformed checkpoint header"),
+        (lambda h: h["tensors"][0].update(shape=[2.0, 16, 16]), "malformed checkpoint header"),
+        (lambda h: h["tensors"][0].update(shape=[True, 16, 16]), "malformed checkpoint header"),
+        (lambda h: h["tensors"][0].update(name=3), "malformed checkpoint header"),
+        (lambda h: h["tensors"].__setitem__(0, "fourier_kernels"), "malformed checkpoint header"),
+        (lambda h: h.pop("image_hw"), "malformed checkpoint header"),
+        (lambda h: h.update(image_hw=[8]), "malformed checkpoint header"),
+        (lambda h: h.update(image_hw="8x8"), "malformed checkpoint header"),
+        (lambda h: h.pop("highpass_mask_enabled"), "malformed checkpoint header"),
+        (lambda h: h.update(highpass_mask_enabled=1), "malformed checkpoint header"),
+        (lambda h: h["tensors"].pop(), "no tensor(s) ['fc2_b']"),
+        (lambda h: h["tensors"][0].update(name="kernels"), "no tensor(s) ['fourier_kernels']"),
+        (lambda h: h["tensors"][0].update(shape=[32, 16]), "fourier_kernels must be (K, G, G)"),
+        (lambda h: h["tensors"][2].update(shape=[1, 8]), "head shapes"),
+        (lambda h: h.update(image_hw=[6, 6]), "fc1 expects"),
+        (lambda h: h["tensors"][0].update(shape=[10**6, 10**6, 10**6]), "truncated tensor fourier_kernels"),
+    ], ids=["no-tensors", "tensors-not-list", "no-shape", "negative-shape", "float-shape", "bool-shape",
+            "name-not-str", "spec-not-object", "no-image-hw", "short-image-hw", "image-hw-text", "no-mask-flag",
+            "mask-flag-int", "missing-tensor", "renamed-tensor", "kernels-2d", "head-mismatch", "window-mismatch",
+            "huge-shape"])
+    def test_rejects_malformed_header(self, tmp_path, edit, needle):
+        # a header with the checkpoint magic that still does not describe a model
+        path = save_checkpoint(toy_params(seed=24), tmp_path / "a.ckpt", stage=1, seed=24)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and needle in str(info.value)
 
     def test_trace_csv(self, tmp_path):
         trace = [{"epoch": 0, "split": "train", "loss": 1.5, "accuracy": 0.5}]
