@@ -10,10 +10,12 @@ Rerunning an invocation reproduces its files byte for byte (timestamps
 appear only in log lines).
 
 Exit codes: 0 success, 1 usage error (including a flag or config value the
-library rejects), 2 data/format error, 3 numerical failure. Each failure
-prints one line on stderr. A command makes its run directory just before it
-writes its first file, once its inputs have loaded and been checked, so a
-command that fails on its inputs leaves none behind.
+library rejects, and an --out-dir that is or lies under a file, which is
+checked before any work), 2 data/format error (any input file, the config
+document included, that is missing or will not decode), 3 numerical failure.
+Each failure prints one line on stderr. A command makes its run directory
+just before it writes its first file, once its inputs have loaded and been
+checked, so a command that fails on its inputs leaves none behind.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ def _overlay(default, doc, where: str):
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    cfg = _overlay(RunConfig(), json.loads(Path(path).read_text()), "")
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: not a UTF-8 JSON document: {exc}") from None
+    cfg = _overlay(RunConfig(), doc, "")
     _train_config(cfg)  # the library's own range checks, before any run directory exists
     return cfg
 
@@ -189,21 +195,14 @@ def _log(msg: str) -> None:
 # dataset helpers
 
 
-def _load_dataset(kind: str, cfg: RunConfig) -> datapipe.Dataset:
-    if kind == "mnist":
-        return datapipe.load_mnist(cfg.paths.mnist)
-    if kind == "cifar10":
-        return datapipe.load_cifar10(cfg.paths.cifar10)
-    if kind == "quickdraw":
-        return datapipe.load_quickdraw(cfg.paths.quickdraw)
-    raise UsageError(f"unknown dataset {kind!r}")
-
-
 def _split(args, cfg: RunConfig, split: str, limit: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     """The first ``limit`` (all when 0 or None) images of ``split`` ("train"
     or "test") of ``args.dataset``, their labels and the class count. A
     split with no images is a data error."""
-    ds = _load_dataset(args.dataset, cfg)
+    load, path = {"mnist": (datapipe.load_mnist, cfg.paths.mnist),
+                  "cifar10": (datapipe.load_cifar10, cfg.paths.cifar10),
+                  "quickdraw": (datapipe.load_quickdraw, cfg.paths.quickdraw)}[args.dataset]
+    ds = load(path)
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if not len(images):
         raise DataFormatError(f"the {args.dataset} {split} split has no images")
@@ -358,15 +357,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def _load_sim_image(path: Path) -> np.ndarray:
     """A 2-D numeric image from a ``.npy`` array or, for any other suffix, a
     binary P5 graymap. A file that does not read as one is a data error."""
-    if path.suffix != ".npy":
-        return fieldio.read_pgm(path)
-    try:
-        with open(path, "rb") as f:
-            img = np.lib.format.read_array(f)  # no pickles, no .npz archives
-    except (OSError, EOFError, ValueError) as exc:
-        raise DataFormatError(f"{path}: not a readable .npy array: {exc}") from None
-    if img.dtype.kind not in "buif":
-        raise DataFormatError(f"{path}: expected a numeric image, got dtype {img.dtype}")
+    img = datapipe.read_npy(path) if path.suffix == ".npy" else fieldio.read_pgm(path)
     if img.ndim != 2:
         raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
     return img
@@ -560,6 +551,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        out = Path(args.out_dir)  # checked before any work, so a bad one costs no run
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise UsageError(f"--out-dir {out}: {nearest} is not a directory")
         cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -567,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, OSError, json.JSONDecodeError) as exc:  # OSError: an input that will not read
+    except (DataFormatError, OSError) as exc:  # OSError: an input that will not read
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as exc:

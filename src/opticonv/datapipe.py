@@ -1,5 +1,10 @@
 """Dataset loading, binary bit-plane quantization, SSIM scoring, and frame tiling.
 
+Each input format has one reader: ``_read_idx`` for MNIST's IDX files (plain
+or gzipped), ``_read_cifar_batch`` for CIFAR-10's binary batches and
+``read_npy`` for ``.npy`` arrays (Quickdraw's bitmap exports and simulation
+inputs). A file a reader cannot decode is a ``DataFormatError`` naming it.
+
 The micromirror array only displays binary patterns, so 8-bit sources are
 decomposed into stacks of binary planes through a threshold ladder. Grayscale
 sets use a single plane at a fraction of the per-image maximum; RGB sets use
@@ -12,7 +17,10 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
+import mmap
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,14 +45,12 @@ __all__ = [
     "load_mnist",
     "load_cifar10",
     "load_quickdraw",
+    "read_npy",
     "export_stack",
     "import_stack",
 ]
 
 FULL_SCALE = 255
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 CIFAR10_CLASSES = (
     "airplane", "automobile", "bird", "cat", "deer",
@@ -368,12 +374,6 @@ def untile(
 # loaders
 
 
-def _open_maybe_gz(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _find_idx_file(root: Path, stem: str) -> Path:
     # Accept the canonical names with or without .gz / dotted idx suffix.
     for cand in (stem, stem + ".gz", stem.replace("-idx", ".idx"), stem.replace("-idx", ".idx") + ".gz"):
@@ -383,57 +383,70 @@ def _find_idx_file(root: Path, stem: str) -> Path:
     raise DataFormatError(f"missing dataset file {stem} under {root}")
 
 
-def _read_idx_images(path: Path) -> np.ndarray:
-    with _open_maybe_gz(path) as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise DataFormatError(f"{path}: truncated header at offset {len(header)}")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad image magic 0x{magic:08x} at offset 0 (want 0x{IDX_IMAGE_MAGIC:08x})"
-            )
-        data = f.read(count * rows * cols)
-        if len(data) != count * rows * cols:
-            raise DataFormatError(f"{path}: truncated at offset {16 + len(data)}")
-        return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
-
-
-def _read_idx_labels(path: Path, n_classes: int) -> np.ndarray:
-    with _open_maybe_gz(path) as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{path}: truncated header at offset {len(header)}")
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad label magic 0x{magic:08x} at offset 0 (want 0x{IDX_LABEL_MAGIC:08x})"
-            )
-        data = f.read(count)
-        if len(data) != count:
-            raise DataFormatError(f"{path}: truncated at offset {8 + len(data)}")
-        labels = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-        if labels.size and labels.max() >= n_classes:
-            raise DataFormatError(f"{path}: label {labels.max()} out of range (< {n_classes})")
-        return labels
+def _read_idx(path: Path, ndim: int) -> np.ndarray:
+    """The ``ndim``-dimensional unsigned-byte IDX array in a plain or ``.gz``
+    file. It is read to its end, so no header can size a read past that."""
+    try:
+        with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as f:
+            raw = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataFormatError(f"{path}: not a readable gzip stream: {exc}") from None
+    head = 4 * (1 + ndim)
+    if len(raw) < head:
+        raise DataFormatError(f"{path}: truncated header at offset {len(raw)}")
+    magic, *shape = struct.unpack(f">{1 + ndim}I", raw[:head])
+    if magic != 0x800 + ndim:
+        raise DataFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (want 0x{0x800 + ndim:08x})")
+    count = math.prod(shape)
+    if len(raw) - head < count:
+        raise DataFormatError(f"{path}: truncated at offset {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=head).reshape(shape)
 
 
 def load_mnist(path: str | Path) -> Dataset:
     """Load the four canonical big-endian IDX files from a directory."""
     root = Path(path)
-    train_x = _read_idx_images(_find_idx_file(root, "train-images-idx3-ubyte"))
-    train_y = _read_idx_labels(_find_idx_file(root, "train-labels-idx1-ubyte"), 10)
-    test_x = _read_idx_images(_find_idx_file(root, "t10k-images-idx3-ubyte"))
-    test_y = _read_idx_labels(_find_idx_file(root, "t10k-labels-idx1-ubyte"), 10)
-    if len(train_x) != len(train_y) or len(test_x) != len(test_y):
-        raise DataFormatError("image/label counts differ")
-    return Dataset("mnist", train_x, train_y, test_x, test_y, tuple(str(d) for d in range(10)))
+    splits = []
+    for prefix in ("train", "t10k"):
+        images = _read_idx(_find_idx_file(root, f"{prefix}-images-idx3-ubyte"), 3)
+        label_path = _find_idx_file(root, f"{prefix}-labels-idx1-ubyte")
+        labels = _read_idx(label_path, 1).astype(np.int64)
+        if labels.size and labels.max() >= 10:
+            raise DataFormatError(f"{label_path}: label {labels.max()} out of range (< 10)")
+        if len(images) != len(labels):
+            raise DataFormatError("image/label counts differ")
+        splits += [images, labels]
+    return Dataset("mnist", *splits, tuple(str(d) for d in range(10)))
+
+
+def read_npy(path: str | Path) -> np.ndarray:
+    """The bool, integer or float array in a ``.npy`` file, copied out of the
+    mapped file, so no header can size a read past the file's end. Any other
+    file (a pickle, an ``.npz`` archive, a short body) is a ``DataFormatError``."""
+    path = Path(path)
+    fmt = np.lib.format
+    try:
+        with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            # versions 2.0 and 3.0 share the 4-byte header length
+            read_header = fmt.read_array_header_1_0 if fmt.read_magic(mm) == (1, 0) else fmt.read_array_header_2_0
+            shape, fortran_order, dtype = read_header(mm)
+            if dtype.kind not in "buif":
+                raise ValueError(f"dtype {dtype} is not bool, integer or float")
+            if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize > len(mm) - mm.tell():
+                raise ValueError(f"a {dtype} array of shape {shape} needs more bytes than the file holds")
+            # one expression, so no view of the map outlives it when the map closes
+            return np.frombuffer(mm, dtype, math.prod(shape), mm.tell()).reshape(
+                shape, order="F" if fortran_order else "C").copy(order="K")
+    except (OSError, EOFError, ValueError) as exc:  # ValueError: no .npy magic or header, or raised above
+        raise DataFormatError(f"{path}: not a readable .npy array: {exc}") from None
 
 
 RECORD_BYTES = 1 + 3 * 32 * 32  # label byte + R, G, B planes
 
 
 def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    if not path.exists():
+        raise DataFormatError(f"missing batch file {path}")
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     if raw.size == 0 or raw.size % RECORD_BYTES:
         raise DataFormatError(
@@ -451,21 +464,9 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar10(path: str | Path) -> Dataset:
     """Load binary CIFAR-10 batches (data_batch_1..5.bin + test_batch.bin)."""
     root = Path(path)
-    xs, ys = [], []
-    for i in range(1, 6):
-        p = root / f"data_batch_{i}.bin"
-        if not p.exists():
-            raise DataFormatError(f"missing batch file {p}")
-        x, y = _read_cifar_batch(p)
-        xs.append(x)
-        ys.append(y)
-    test_p = root / "test_batch.bin"
-    if not test_p.exists():
-        raise DataFormatError(f"missing batch file {test_p}")
-    test_x, test_y = _read_cifar_batch(test_p)
-    return Dataset(
-        "cifar10", np.concatenate(xs), np.concatenate(ys), test_x, test_y, CIFAR10_CLASSES
-    )
+    train = [_read_cifar_batch(root / f"data_batch_{i}.bin") for i in range(1, 6)]
+    test_x, test_y = _read_cifar_batch(root / "test_batch.bin")
+    return Dataset("cifar10", *(np.concatenate(a) for a in zip(*train)), test_x, test_y, CIFAR10_CLASSES)
 
 
 def load_quickdraw(path: str | Path, test_fraction: float = 0.2) -> Dataset:
@@ -480,12 +481,12 @@ def load_quickdraw(path: str | Path, test_fraction: float = 0.2) -> Dataset:
         raise DataFormatError(f"no .npy bitmap files under {root}")
     train_x, train_y, test_x, test_y, names = [], [], [], [], []
     for label, f in enumerate(files):
-        arr = np.load(f)
+        arr = read_npy(f)
         if arr.ndim == 2 and arr.shape[1] == 784:
             arr = arr.reshape(-1, 28, 28)
-        if arr.ndim != 3 or arr.shape[1:] != (28, 28):
-            raise DataFormatError(f"{f}: expected (N, 784) or (N, 28, 28) uint8 bitmaps")
-        arr = arr.astype(np.uint8)
+        if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[1:] != (28, 28):
+            raise DataFormatError(f"{f}: expected (N, 784) or (N, 28, 28) uint8 bitmaps, "
+                                  f"got {arr.dtype} {arr.shape}")
         n_test = int(round(len(arr) * test_fraction))
         split = len(arr) - n_test
         train_x.append(arr[:split])

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import gzip
+import io
 import json
 import os
 import struct
@@ -59,10 +61,13 @@ class TestConfig:
         path.write_text(json.dumps({"train": {"learning_rate": 1}}))
         assert_one_line_usage_error(run(["--config", path, "perf"]), capsys, "['train.learning_rate']")
 
-    def test_malformed_json_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("body", [b"{nope", b"\xff"], ids=["not-json", "not-utf8"])
+    def test_malformed_json_is_data_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
+        path.write_bytes(body)
         assert run(["--config", path, "perf"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0]
 
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == cli.EXIT_USAGE
@@ -192,11 +197,22 @@ class TestFailureContract:
         (["eval", "DIR", "--dataset", "mnist"], cli.EXIT_DATA),
         (["--config", "DIR", "perf"], cli.EXIT_DATA),
         (["eval", "HEADLESS", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["--config", "QD-EMPTY", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["--config", "QD-NOT-NUMPY", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["--config", "QD-OBJECT", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["--config", "QD-FLOAT", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["--config", "QD-HUGE", "quantize", "--dataset", "quickdraw"], cli.EXIT_DATA),
+        (["simulate", "HUGE-NPY"], cli.EXIT_DATA),
+        (["--config", "MNIST-HALF-GZ", "train", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["--config", "MNIST-HUGE", "train", "--dataset", "mnist"], cli.EXIT_DATA),
+        (["--config", "NOT-UTF8", "perf"], cli.EXIT_DATA),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
             "finetune-classes", "quantize-empty", "simulate-directory", "eval-directory",
-            "config-directory", "eval-malformed-checkpoint"])
+            "config-directory", "eval-malformed-checkpoint", "quickdraw-empty-npy",
+            "quickdraw-not-numpy", "quickdraw-object-array", "quickdraw-float", "quickdraw-huge-header",
+            "simulate-huge-header", "mnist-gzip-cut-at-half", "mnist-huge-header", "config-not-utf8"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
         # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
@@ -204,7 +220,13 @@ class TestFailureContract:
         # first, points paths.quickdraw at an export of 2 images per class,
         # whose test split rounds to no images. DIR is a directory where a
         # file belongs; HEADLESS has the checkpoint magic and nothing else.
+        # Each QD-* config points paths.quickdraw at one cat.npy that will
+        # not decode as uint8 bitmaps; HUGE-NPY is the QD-HUGE file, whose
+        # header claims 10**12 bytes before a 100-byte body. MNIST-HALF-GZ
+        # cuts a gzipped image file at half; MNIST-HUGE's header claims
+        # (2**32 - 1) images of 65535 x 65535.
         cfg = json.loads(small_config.read_text())
+        mnist = cfg["paths"]["mnist"]
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
         cfg["paths"]["quickdraw"] = str(tmp_path / "quickdraw")
         synthquickdraw.write_npy(tmp_path / "quickdraw", seed=0)
@@ -219,11 +241,38 @@ class TestFailureContract:
         headless.write_text('{"format": "opticonv-checkpoint"}\n')
         names = {"IMG": img_path, "CKPT": stage1_checkpoint(cfg, tmp_path), "MISSING": tmp_path / "none.ckpt",
                  "CKPT3": stage1_checkpoint(cfg, tmp_path, n_classes=3), "SPARSE": sparse,
-                 "DIR": tmp_path / "quickdraw", "HEADLESS": headless}
+                 "DIR": tmp_path / "quickdraw", "HEADLESS": headless, "NOT-UTF8": tmp_path / "not-utf8.json"}
+        names["NOT-UTF8"].write_bytes(b"\xff")
+        huge = io.BytesIO()
+        np.lib.format.write_array_header_1_0(huge, {"descr": "|u1", "fortran_order": False, "shape": (10**12,)})
+        bad = {"QD-EMPTY": b"", "QD-NOT-NUMPY": b"P5\n1 1\n255\n\x00", "QD-HUGE": huge.getvalue() + bytes(100)}
+        for case, array in (("QD-OBJECT", np.array([[{}, None]])), ("QD-FLOAT", np.full((5, 784), 300.7))):
+            with io.BytesIO() as f:
+                np.save(f, array, allow_pickle=True)
+                bad[case] = f.getvalue()
+        gz = gzip.compress((Path(mnist) / "train-images-idx3-ubyte").read_bytes())
+        bad["MNIST-HALF-GZ"] = gz[: len(gz) // 2]
+        bad["MNIST-HUGE"] = struct.pack(">IIII", 0x803, 2**32 - 1, 65535, 65535)
+        for case, body in bad.items():
+            key, file = ("quickdraw", "cat.npy") if case.startswith("QD") else ("mnist", "train-images-idx3-ubyte")
+            (tmp_path / case).mkdir()
+            (tmp_path / case / (file + ".gz" if case.endswith("GZ") else file)).write_bytes(body)
+            names[case] = tmp_path / f"{case}.json"
+            names[case].write_text(json.dumps({**cfg, "paths": {**cfg["paths"], key: str(tmp_path / case)}}))
+        names["HUGE-NPY"] = tmp_path / "QD-HUGE" / "cat.npy"
         out_dir = tmp_path / "runs"
         assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_under_a_file_fails_before_the_command_runs(self, small_config, tmp_path, capsys, out_dir):
+        # at exit 1 and before any training, not as a data error once the run is done
+        (tmp_path / "afile").write_text("kept\n")
+        before = sorted(tmp_path.iterdir())
+        code = run(["--config", small_config, "--out-dir", tmp_path / out_dir, "train", "--dataset", "mnist"])
+        assert_one_line_usage_error(code, capsys, "--out-dir")
+        assert sorted(tmp_path.iterdir()) == before and (tmp_path / "afile").read_text() == "kept\n"
 
     def test_too_many_simulated_kernels(self, small_config, tmp_path, capsys):
         img_path = tmp_path / "digit.npy"

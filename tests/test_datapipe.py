@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from opticonv import datapipe
 from opticonv.datapipe import (
@@ -281,13 +284,13 @@ class TestLoaders:
         f = tmp_path / "imgs"
         f.write_bytes(struct.pack(">IIII", 0x803, 10, 28, 28) + b"\x00" * 100)
         with pytest.raises(DataFormatError, match="truncated"):
-            datapipe._read_idx_images(f)
+            datapipe._read_idx(f, 3)
 
     def test_gzip_accepted(self, tmp_path):
         payload = struct.pack(">IIII", 0x803, 1, 2, 2) + bytes(range(4))
         with gzip.open(tmp_path / "train-images-idx3-ubyte.gz", "wb") as f:
             f.write(payload)
-        imgs = datapipe._read_idx_images(tmp_path / "train-images-idx3-ubyte.gz")
+        imgs = datapipe._read_idx(tmp_path / "train-images-idx3-ubyte.gz", 3)
         assert imgs.shape == (1, 2, 2)
 
     def test_cifar_bad_record_size(self, tmp_path):
@@ -341,14 +344,41 @@ class TestLoaders:
         ndims = {np.load(f).ndim for f in tmp_path.glob("*.npy")}
         assert ndims == {2, 3}
 
-    def test_quickdraw_bad_shape(self, tmp_path):
-        np.save(tmp_path / "cat.npy", np.zeros((5, 100), np.uint8))
+    @pytest.mark.parametrize("bitmaps", [np.zeros((5, 100), np.uint8), np.full((5, 784), 300.7),
+                                         np.full((5, 28, 28), 300, np.int64)],
+                             ids=["shape", "float", "out-of-range"])
+    def test_quickdraw_bad_shape(self, tmp_path, bitmaps):
+        np.save(tmp_path / "cat.npy", bitmaps)
         with pytest.raises(DataFormatError, match="bitmap"):
             load_quickdraw(tmp_path)
 
     def test_quickdraw_empty_dir(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_quickdraw(tmp_path)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["idx", "idx.gz", "npy"]), array=arrays(np.uint8, array_shapes(max_dims=3)),
+           npy_dtype=st.sampled_from([np.uint8, ">i2", np.float64]), npy_order=st.sampled_from("CF"),
+           data=st.data())
+    def test_every_proper_prefix_is_a_data_error(self, tmp_path, kind, array, npy_dtype, npy_order, data):
+        # a file cut anywhere short of its end: one exception type, never a
+        # traceback from the gzip, struct or numpy layers under the reader
+        path = tmp_path / f"cut.{kind}"
+        if kind == "npy":
+            array = array.astype(npy_dtype, order=npy_order)
+            np.save(path, array)
+            full, read = path.read_bytes(), datapipe.read_npy
+        else:
+            full = struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes()
+            full = gzip.compress(full, mtime=0) if kind == "idx.gz" else full
+            read = lambda p: datapipe._read_idx(p, array.ndim)  # noqa: E731
+            path.write_bytes(full)
+        whole = read(path)
+        assert np.array_equal(whole, array) and whole.dtype == array.dtype
+        path.write_bytes(full[: data.draw(st.integers(0, len(full) - 1), label="prefix length")])
+        with pytest.raises(DataFormatError, match="cut"):
+            read(path)
 
 
 class TestSyntheticMnist:
