@@ -5,4 +5,4 @@ two-stage training protocol, and the throughput/energy model."""
 
 __version__ = "0.1.0"
 
-from . import datapipe, fieldio, network, optics, perfmodel  # noqa: F401
+from . import datapipe, network, optics, perfmodel  # noqa: F401

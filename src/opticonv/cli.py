@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datapipe, fieldio, network, perfmodel
+from . import datapipe, network, perfmodel
 from .datapipe import DataFormatError
 from .network import TrainingDivergedError
 from .optics import FieldPlane, NoiseSpec, OpticalConfig, camera_capture, ideal_aperture, multi_kernel_forward
@@ -160,11 +160,7 @@ def _overlay(default, doc, where: str):
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: not a UTF-8 JSON document: {exc}") from None
-    cfg = _overlay(RunConfig(), doc, "")
+    cfg = _overlay(RunConfig(), datapipe.read_json(path), "")
     _train_config(cfg)  # the library's own range checks, before any run directory exists
     return cfg
 
@@ -357,7 +353,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def _load_sim_image(path: Path) -> np.ndarray:
     """A 2-D numeric image from a ``.npy`` array or, for any other suffix, a
     binary P5 graymap. A file that does not read as one is a data error."""
-    img = datapipe.read_npy(path) if path.suffix == ".npy" else fieldio.read_pgm(path)
+    img = datapipe.read_npy(path) if path.suffix == ".npy" else datapipe.read_pgm(path)
     if img.ndim != 2:
         raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
     return img
@@ -413,18 +409,18 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
     run_dir = _run_dir(args, cfg)
     pitch = cfg.optical.dmd_pitch
-    fieldio.write_pgm(frame, run_dir / "input.pgm")
-    fieldio.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
+    datapipe.write_pgm(frame, run_dir / "input.pgm")
+    datapipe.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
     spectrum_mag = np.abs(plane.spectrum())
-    fieldio.write_pgm(spectrum_mag, run_dir / "fourier_mag.pgm")
-    fieldio.write_raw(spectrum_mag, run_dir / "fourier_mag.f64", pitch)
+    datapipe.write_pgm(spectrum_mag, run_dir / "fourier_mag.pgm")
+    datapipe.write_raw(spectrum_mag, run_dir / "fourier_mag.f64", pitch)
     n_windows = 0
     for kidx, out in enumerate(outputs):
-        fieldio.write_pgm(out, run_dir / f"kernel{kidx}.pgm")
-        fieldio.write_raw(out, run_dir / f"kernel{kidx}.f64", pitch)
+        datapipe.write_pgm(out, run_dir / f"kernel{kidx}.pgm")
+        datapipe.write_raw(out, run_dir / f"kernel{kidx}.f64", pitch)
         if args.windows:
             for i, win in enumerate(datapipe.untile(out[r0 : r0 + h, c0 : c0 + w], layout)):
-                fieldio.write_pgm(win, run_dir / f"kernel{kidx}_win{i // cols}_{i % cols}.pgm")
+                datapipe.write_pgm(win, run_dir / f"kernel{kidx}_win{i // cols}_{i % cols}.pgm")
                 n_windows += 1
     _log(f"simulate: {len(outputs)} kernel outputs, {n_windows} windows -> {run_dir}")
     return EXIT_OK

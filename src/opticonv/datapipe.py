@@ -1,9 +1,13 @@
-"""Dataset loading, binary bit-plane quantization, SSIM scoring, and frame tiling.
+"""Dataset loading, binary bit-plane quantization, SSIM scoring, frame
+tiling, and the package's file formats.
 
 Each input format has one reader: ``_read_idx`` for MNIST's IDX files (plain
-or gzipped), ``_read_cifar_batch`` for CIFAR-10's binary batches and
+or gzipped), ``_read_cifar_batch`` for CIFAR-10's binary batches,
 ``read_npy`` for ``.npy`` arrays (Quickdraw's bitmap exports and simulation
-inputs). A file a reader cannot decode is a ``DataFormatError`` naming it.
+inputs), ``import_stack`` for P4 bit-plane stacks, ``read_pgm`` for P5
+graymaps, ``read_raw`` for raw float64 grids and ``read_json`` for JSON
+documents (run configs, stack manifests and raw-grid sidecars). A file a
+reader cannot decode is a ``DataFormatError`` naming it.
 
 The micromirror array only displays binary patterns, so 8-bit sources are
 decomposed into stacks of binary planes through a threshold ladder. Grayscale
@@ -19,6 +23,7 @@ import gzip
 import json
 import math
 import mmap
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -46,8 +51,13 @@ __all__ = [
     "load_cifar10",
     "load_quickdraw",
     "read_npy",
+    "read_json",
     "export_stack",
     "import_stack",
+    "write_pgm",
+    "read_pgm",
+    "write_raw",
+    "read_raw",
 ]
 
 FULL_SCALE = 255
@@ -503,53 +513,136 @@ def load_quickdraw(path: str | Path, test_fraction: float = 0.2) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# stack export (concatenated P4 bitmaps + JSON manifest)
+# file formats: JSON documents, P4 bit-plane stacks (what the mirror shows), P5
+# graymaps (what the camera sees) and raw float64 grids (exact values)
 
 
-def _encode_p4(plane: np.ndarray) -> bytes:
-    h, w = plane.shape
-    return b"P4\n%d %d\n" % (w, h) + np.packbits(plane, axis=1).tobytes()
+def read_json(path: str | Path):
+    """The UTF-8 JSON document in a file; any other file is a
+    ``DataFormatError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise DataFormatError(f"{path}: not a UTF-8 JSON document: {exc}") from None
+
+
+# The magic, then width, height and (P5 only) maxval, each after whitespace
+# or comments, then exactly one whitespace byte before the samples (which may
+# themselves be whitespace-valued bytes). A size of more than 9 digits is a
+# bad header, not a digit string too long for int().
+_PNM_FIELD = rb"(?:\s|#[^\r\n]*)+(\d{1,9})"
+_PNM_HEADER = re.compile(rb"P(?:(4)|5)" + _PNM_FIELD * 2 + rb"(?(1)|" + _PNM_FIELD + rb")\s")
+
+
+def _pnm_header(raw: bytes, pos: int, magic: bytes, path: Path) -> tuple[int, int, int, int]:
+    """Width, height, maxval (1 for a P4 bitmap) and body offset of the
+    ``magic`` header at ``raw[pos:]``. The body those sizes need is checked
+    against the bytes left, so no header can size a read past the file."""
+    header = _PNM_HEADER.match(raw, pos)
+    name = magic.decode()
+    if header is None or not header[0].startswith(magic):
+        raise DataFormatError(f"{path}: not a binary {name} image at offset {pos}")
+    w, h, maxval = int(header[2]), int(header[3]), int(header[4] or 1)
+    if w < 1 or h < 1 or not 0 < maxval < 65536:
+        raise DataFormatError(f"{path}: bad {name} header {w}x{h}, maxval {maxval} at offset {pos}")
+    size = h * -(-w // 8) if name == "P4" else w * h * (1 if maxval < 256 else 2)
+    if len(raw) - header.end() < size:
+        raise DataFormatError(f"{path}: truncated {name} body at offset {header.end()}")
+    return w, h, maxval, header.end()
+
+
+def _pnm(magic: bytes, grid: np.ndarray, body: bytes) -> bytes:
+    """``body`` after the ``magic`` header of ``grid``'s width and height,
+    and for a P5 graymap the maxval 255 of its 8-bit samples."""
+    h, w = grid.shape
+    return b"%s\n%d %d\n%s" % (magic, w, h, b"255\n" if magic == b"P5" else b"") + body
+
+
+_MANIFEST_FIELDS = ("thresholds", "channel_of_plane", "source_shape")  # BitPlaneStack fields after planes
 
 
 def export_stack(stack: BitPlaneStack, path_prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>.p4`` (concatenated bitmaps) and ``<prefix>.json``."""
-    prefix = Path(path_prefix)
-    p4_path = prefix.with_suffix(".p4")
-    manifest_path = prefix.with_suffix(".json")
-    with open(p4_path, "wb") as f:
-        for plane in stack.planes:
-            f.write(_encode_p4(plane))
-    manifest = {
-        "n_planes": int(stack.planes.shape[0]),
-        "thresholds": list(stack.thresholds),
-        "channel_of_plane": list(stack.channel_of_plane),
-        "source_shape": list(stack.source_shape),
-    }
+    p4_path, manifest_path = (Path(path_prefix).with_suffix(s) for s in (".p4", ".json"))
+    p4_path.write_bytes(b"".join(_pnm(b"P4", p, np.packbits(p, axis=1).tobytes()) for p in stack.planes))
+    manifest = {"n_planes": len(stack.planes), **{k: list(getattr(stack, k)) for k in _MANIFEST_FIELDS}}
     manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
     return p4_path, manifest_path
 
 
 def import_stack(path_prefix: str | Path) -> BitPlaneStack:
-    prefix = Path(path_prefix)
-    manifest = json.loads(prefix.with_suffix(".json").read_text())
-    blob = prefix.with_suffix(".p4").read_bytes()
-    planes = []
-    pos = 0
-    for _ in range(manifest["n_planes"]):
-        if blob[pos : pos + 3] != b"P4\n":
-            raise DataFormatError(f"bad P4 magic at offset {pos}")
-        end = blob.index(b"\n", pos + 3)
-        w, h = (int(t) for t in blob[pos + 3 : end].split())
-        row_bytes = (w + 7) // 8
-        body = blob[end + 1 : end + 1 + h * row_bytes]
-        if len(body) != h * row_bytes:
-            raise DataFormatError(f"truncated P4 body at offset {end + 1}")
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8).reshape(h, row_bytes), axis=1)
-        planes.append(bits[:, :w])
-        pos = end + 1 + h * row_bytes
-    return BitPlaneStack(
-        planes=np.stack(planes),
-        thresholds=tuple(manifest["thresholds"]),
-        channel_of_plane=tuple(manifest["channel_of_plane"]),
-        source_shape=tuple(manifest["source_shape"]),
-    )
+    """Read back what ``export_stack`` wrote: every bitmap up to the end of
+    ``<prefix>.p4``, which must be as many as ``<prefix>.json`` lists."""
+    p4_path, manifest_path = (Path(path_prefix).with_suffix(s) for s in (".p4", ".json"))
+    manifest = read_json(manifest_path)
+    raw = p4_path.read_bytes()
+    planes, pos = [], 0
+    while pos < len(raw):
+        w, h, _, start = _pnm_header(raw, pos, b"P4", p4_path)
+        if planes and planes[0].shape != (h, w):
+            raise DataFormatError(f"{p4_path}: bitmap at offset {pos} is {w}x{h}, not the first one's size")
+        row_bytes = -(-w // 8)
+        pos = start + h * row_bytes
+        rows = np.frombuffer(raw, np.uint8, h * row_bytes, start).reshape(h, row_bytes)
+        planes.append(np.unpackbits(rows, axis=1, count=w))
+    n_planes = manifest.get("n_planes") if isinstance(manifest, dict) else None
+    if n_planes != len(planes):
+        raise DataFormatError(f"{p4_path}: holds {len(planes)} bitmaps, {manifest_path.name} lists n_planes {n_planes}")
+    try:
+        return BitPlaneStack(np.stack(planes), *(tuple(manifest[k]) for k in _MANIFEST_FIELDS))
+    except (KeyError, TypeError, ValueError) as exc:  # a key the manifest lacks, or a bad value
+        raise DataFormatError(f"{manifest_path}: not a manifest of {len(planes)} bit planes: {exc!r}") from None
+
+
+def write_pgm(grid: np.ndarray, path: str | Path) -> Path:
+    """Write a 2D grid as an 8-bit binary P5 graymap, scaled to full range."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 2:
+        raise ValueError("P5 export expects a 2D grid")
+    peak = grid.max()
+    scaled = np.zeros_like(grid) if peak <= 0 else np.clip(np.rint(grid / peak * 255), 0, 255)
+    path = Path(path)
+    path.write_bytes(_pnm(b"P5", scaled, scaled.astype(np.uint8).tobytes()))
+    return path
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read a binary P5 graymap: uint8 samples for maxval < 256, else
+    big-endian uint16. A malformed file is a ``DataFormatError``."""
+    path = Path(path)
+    raw = path.read_bytes()
+    w, h, maxval, start = _pnm_header(raw, 0, b"P5", path)
+    img = np.frombuffer(raw, np.uint8 if maxval < 256 else ">u2", w * h, start).reshape(h, w)
+    if img.max() > maxval:
+        raise DataFormatError(f"{path}: sample above maxval {maxval}")
+    return img
+
+
+def write_raw(grid: np.ndarray, path: str | Path, pitch_m: float) -> tuple[Path, Path]:
+    """Write ``<path>`` as flat little-endian float64 plus ``<path>.json``."""
+    grid = np.ascontiguousarray(grid, dtype="<f8")
+    if grid.ndim != 2:
+        raise ValueError("raw export expects a 2D grid")
+    path = Path(path)
+    path.write_bytes(grid.tobytes())
+    sidecar = path.with_suffix(path.suffix + ".json")
+    header = {"width": int(grid.shape[1]), "height": int(grid.shape[0]), "pitch_m": float(pitch_m)}
+    sidecar.write_text(json.dumps(header) + "\n")
+    return path, sidecar
+
+
+def read_raw(path: str | Path) -> tuple[np.ndarray, float]:
+    """Read a raw float64 grid and its pitch back, bit-exact. The sidecar
+    must give a non-negative integer width and height and a finite pitch,
+    and the grid file must hold exactly that many samples."""
+    path = Path(path)
+    sidecar = path.with_suffix(path.suffix + ".json")
+    header = read_json(sidecar)
+    w, h, pitch = (header.get(k) if isinstance(header, dict) else None for k in ("width", "height", "pitch_m"))
+    if not (type(w) is type(h) is int and min(w, h) >= 0 and type(pitch) in (int, float) and math.isfinite(pitch)):
+        raise DataFormatError(f"{sidecar}: want integer width and height >= 0 and a finite pitch_m, "
+                              f"got {w!r}, {h!r} and {pitch!r}")
+    raw = path.read_bytes()
+    if len(raw) != 8 * w * h:
+        raise DataFormatError(f"{path}: {len(raw)} bytes, not the {8 * w * h} of a {h}x{w} float64 grid")
+    return np.frombuffer(raw, "<f8").reshape(h, w).copy(), float(pitch)

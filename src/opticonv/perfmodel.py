@@ -219,23 +219,26 @@ def sweep_report(
             if mode not in _MODES:
                 raise ValueError(f"unknown mode {mode!r}")
             s = preset.scenario
-            rows.append(
-                {
-                    "generation": preset.name,
-                    "mode": mode,
-                    "M": s.image_rows,
-                    "N": s.image_cols,
-                    "m": s.kernel_rows,
-                    "n": s.kernel_cols,
-                    "i": s.input_parallelism,
-                    "k": s.kernel_parallelism,
-                    "f_hz": s.frame_rate_hz,
-                    "P_w": s.power_w,
-                    "ops_per_watt": _MODES[mode](s),
-                    "latency_s": lat.total_s,
-                    "bottleneck": lat.bottleneck,
-                }
-            )
+            row = {
+                "generation": preset.name,
+                "mode": mode,
+                "M": s.image_rows,
+                "N": s.image_cols,
+                "m": s.kernel_rows,
+                "n": s.kernel_cols,
+                "i": s.input_parallelism,
+                "k": s.kernel_parallelism,
+                "f_hz": s.frame_rate_hz,
+                "P_w": s.power_w,
+                "ops_per_watt": _MODES[mode](s),
+                "latency_s": lat.total_s,
+                "bottleneck": lat.bottleneck,
+            }
+            # a figure that overflows would reach perf.json as a bare Infinity, not JSON
+            bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"scenario {preset.name!r} ({mode}): {', '.join(bad)} not finite")
+            rows.append(row)
     return rows
 
 

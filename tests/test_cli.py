@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from opticonv import cli, network
-from opticonv.datapipe import DataFormatError
-from opticonv.fieldio import read_raw, write_pgm
+from opticonv.datapipe import DataFormatError, read_raw, write_pgm
 
 import synthquickdraw
 
@@ -61,7 +60,7 @@ class TestConfig:
         path.write_text(json.dumps({"train": {"learning_rate": 1}}))
         assert_one_line_usage_error(run(["--config", path, "perf"]), capsys, "['train.learning_rate']")
 
-    @pytest.mark.parametrize("body", [b"{nope", b"\xff"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("body", [b"{nope", b"\xff", b"[" * 100_000], ids=["not-json", "not-utf8", "too-deep"])
     def test_malformed_json_is_data_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"
         path.write_bytes(body)
@@ -206,13 +205,15 @@ class TestFailureContract:
         (["--config", "MNIST-HALF-GZ", "train", "--dataset", "mnist"], cli.EXIT_DATA),
         (["--config", "MNIST-HUGE", "train", "--dataset", "mnist"], cli.EXIT_DATA),
         (["--config", "NOT-UTF8", "perf"], cli.EXIT_DATA),
+        (["perf", "--custom", 1, 1, 1, 1, "1e308"], cli.EXIT_USAGE),
     ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
             "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
             "finetune-classes", "quantize-empty", "simulate-directory", "eval-directory",
             "config-directory", "eval-malformed-checkpoint", "quickdraw-empty-npy",
             "quickdraw-not-numpy", "quickdraw-object-array", "quickdraw-float", "quickdraw-huge-header",
-            "simulate-huge-header", "mnist-gzip-cut-at-half", "mnist-huge-header", "config-not-utf8"])
+            "simulate-huge-header", "mnist-gzip-cut-at-half", "mnist-huge-header", "config-not-utf8",
+            "perf-overflow"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
         # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
@@ -224,7 +225,8 @@ class TestFailureContract:
         # not decode as uint8 bitmaps; HUGE-NPY is the QD-HUGE file, whose
         # header claims 10**12 bytes before a 100-byte body. MNIST-HALF-GZ
         # cuts a gzipped image file at half; MNIST-HUGE's header claims
-        # (2**32 - 1) images of 65535 x 65535.
+        # (2**32 - 1) images of 65535 x 65535. A frame rate of 1e308 makes
+        # the custom perf scenario's OPS/W overflow to infinity.
         cfg = json.loads(small_config.read_text())
         mnist = cfg["paths"]["mnist"]
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")

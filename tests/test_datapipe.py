@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -21,10 +22,14 @@ from opticonv.datapipe import (
     make_layout,
     quantize_gray,
     quantize_rgb,
+    read_pgm,
+    read_raw,
     recombine,
     ssim,
     tile,
     untile,
+    write_pgm,
+    write_raw,
 )
 from opticonv.optics import OpticalConfig
 
@@ -356,29 +361,79 @@ class TestLoaders:
         with pytest.raises(DataFormatError):
             load_quickdraw(tmp_path)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(["idx", "idx.gz", "npy"]), array=arrays(np.uint8, array_shapes(max_dims=3)),
+    @given(kind=st.sampled_from(["idx", "idx.gz", "npy", "p5", "p4-stack", "raw"]),
+           array=arrays(np.uint8, array_shapes(max_dims=3)),
            npy_dtype=st.sampled_from([np.uint8, ">i2", np.float64]), npy_order=st.sampled_from("CF"),
            data=st.data())
     def test_every_proper_prefix_is_a_data_error(self, tmp_path, kind, array, npy_dtype, npy_order, data):
         # a file cut anywhere short of its end: one exception type, never a
-        # traceback from the gzip, struct or numpy layers under the reader
+        # traceback from the gzip, struct or numpy layers under the reader.
+        # The 2-D formats take the array as rows of its first axis; a stack
+        # is 2 to 4 planes of it with their manifest, and only its .p4 is cut.
         path = tmp_path / f"cut.{kind}"
+        grid = array.reshape(len(array), -1)
         if kind == "npy":
             array = array.astype(npy_dtype, order=npy_order)
             np.save(path, array)
-            full, read = path.read_bytes(), datapipe.read_npy
+            read = datapipe.read_npy
+        elif kind == "p5":
+            array = grid.copy()
+            array[0, 0] = 255  # full scale, so write_pgm keeps every sample
+            write_pgm(array, path)
+            read = read_pgm
+        elif kind == "p4-stack":
+            stack = quantize_gray(grid, data.draw(st.integers(2, 4), label="planes"))
+            path, _ = export_stack(stack, tmp_path / "cut")
+            array = stack.planes
+            read = lambda p: import_stack(p.with_suffix("")).planes  # noqa: E731
+        elif kind == "raw":
+            array = grid / 7.0
+            write_raw(array, path, pitch_m=7.6e-6)
+            read = lambda p: read_raw(p)[0]  # noqa: E731
         else:
             full = struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes()
-            full = gzip.compress(full, mtime=0) if kind == "idx.gz" else full
+            path.write_bytes(gzip.compress(full, mtime=0) if kind == "idx.gz" else full)
             read = lambda p: datapipe._read_idx(p, array.ndim)  # noqa: E731
-            path.write_bytes(full)
+        full = path.read_bytes()
         whole = read(path)
-        assert np.array_equal(whole, array) and whole.dtype == array.dtype
+        assert whole.tobytes() == array.tobytes() and whole.shape == array.shape and whole.dtype == array.dtype
         path.write_bytes(full[: data.draw(st.integers(0, len(full) - 1), label="prefix length")])
         with pytest.raises(DataFormatError, match="cut"):
             read(path)
+
+    @pytest.mark.parametrize("kind, name, raw, needle", [
+        ("pgm", "x.pgm", b"P6\n2 2\n255\n\x00\x00\x00\x00", "not a binary P5"),
+        ("pgm", "x.pgm", b"P5\n0 2\n255\n", "bad P5 header"),
+        ("pgm", "x.pgm", b"P5\n2 1\n9\n\x00\x0a", "above maxval"),
+        ("stack", "x.json", b"{nope", "not a UTF-8 JSON"),
+        ("stack", "x.p4", lambda p4: p4[:6], "not a binary P4"),
+        ("stack", "x.p4", lambda p4: p4[: len(p4) // 2], "holds 1 bitmaps, x.json lists n_planes 2"),
+        ("raw", "x.f64", lambda f64: f64[:8], "8 bytes"),
+        ("raw", "x.f64.json", b'{"width": -1, "height": -1, "pitch_m": 1e-6}', "width and height >= 0"),
+        ("stack", "x.p4", lambda p4: p4.replace(b"P4\n", b"P4\n# a comment\n"), None),
+    ], ids=["magic", "zero-width", "above-maxval", "manifest-not-json", "p4-cut-in-header",
+            "p4-cut-between-planes", "raw-cut", "sidecar-negative-size", "p4-comment-reads"])
+    def test_read_rejects_malformed_files(self, tmp_path, kind, name, raw, needle):
+        # each reader's files start valid (a 2-plane 6x8 stack, a 4x4 raw dump);
+        # ``name`` is then rewritten to ``raw``, or to ``raw`` of its bytes. A
+        # stack cut between its planes reads whole bitmaps, so only the
+        # manifest's count tells. The last input is well formed: a comment
+        # line in each P4 header.
+        stack = quantize_gray(np.arange(48, dtype=np.uint8).reshape(6, 8) * 5, 2)
+        export_stack(stack, tmp_path / "x")
+        write_raw(np.eye(4), tmp_path / "x.f64", pitch_m=1e-6)
+        path = tmp_path / name
+        path.write_bytes(raw(path.read_bytes()) if callable(raw) else raw)
+        read = {"pgm": lambda: read_pgm(tmp_path / "x.pgm"), "stack": lambda: import_stack(tmp_path / "x"),
+                "raw": lambda: read_raw(tmp_path / "x.f64")}[kind]
+        if needle is None:
+            assert np.array_equal(read().planes, stack.planes)
+            return
+        with pytest.raises(DataFormatError, match=needle) as exc:
+            read()
+        assert str(path) in str(exc.value)
 
 
 class TestSyntheticMnist:
@@ -404,7 +459,7 @@ class TestSyntheticMnist:
 
 
 # ---------------------------------------------------------------------------
-# stack export
+# bit-plane stacks, graymaps and raw grids
 
 
 class TestStackExport:
@@ -425,3 +480,49 @@ class TestStackExport:
         p4_path.write_bytes(p4_path.read_bytes()[:-2])
         with pytest.raises(DataFormatError, match="truncated"):
             import_stack(tmp_path / "sample")
+
+
+class TestPgm:
+    def test_header_and_scaling(self, tmp_path):
+        grid = np.array([[0.0, 1.0], [2.0, 4.0]])
+        path = write_pgm(grid, tmp_path / "x.pgm")
+        raw = path.read_bytes()
+        assert raw.startswith(b"P5\n2 2\n255\n")
+        body = np.frombuffer(raw[-4:], dtype=np.uint8)
+        assert body[-1] == 255  # max scales to full range
+        assert body[0] == 0
+
+    def test_all_zero_grid(self, tmp_path):
+        path = write_pgm(np.zeros((3, 3)), tmp_path / "z.pgm")
+        assert path.read_bytes()[-9:] == b"\x00" * 9
+
+    def test_rejects_3d(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_pgm(np.zeros((2, 2, 2)), tmp_path / "bad.pgm")
+
+    def test_read_round_trips_a_full_scale_grid(self, tmp_path):
+        grid = np.random.default_rng(1).integers(0, 256, (5, 7)).astype(np.uint8)
+        grid[2, 3] = 255  # full scale: write_pgm keeps every sample
+        back = read_pgm(write_pgm(grid, tmp_path / "x.pgm"))
+        assert back.dtype == np.uint8 and back.tobytes() == grid.tobytes()
+
+
+class TestRaw:
+    def test_bit_exact_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        grid = rng.standard_normal((17, 23))
+        write_raw(grid, tmp_path / "f.f64", pitch_m=7.6e-6)
+        back, pitch = read_raw(tmp_path / "f.f64")
+        assert back.tobytes() == grid.astype("<f8").tobytes()
+        assert pitch == 7.6e-6
+
+    def test_sidecar_contents(self, tmp_path):
+        _, sidecar = write_raw(np.zeros((4, 6)), tmp_path / "g.f64", pitch_m=1e-6)
+        header = json.loads(sidecar.read_text())
+        assert header == {"width": 6, "height": 4, "pitch_m": 1e-6}
+
+    def test_special_values_survive(self, tmp_path):
+        grid = np.array([[0.0, -0.0], [np.pi, 1e-308]])
+        write_raw(grid, tmp_path / "s.f64", pitch_m=1.0)
+        back, _ = read_raw(tmp_path / "s.f64")
+        assert back.tobytes() == grid.tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 import opticonv
 
-LIBRARY = ("datapipe", "fieldio", "network", "optics", "perfmodel")
+LIBRARY = ("datapipe", "network", "optics", "perfmodel")
 
 
 def test_every_module_is_a_library_module_or_the_cli():
