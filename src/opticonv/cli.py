@@ -319,7 +319,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
     tconf = _train_config(cfg)
     _log(f"capturing {len(bits)} optical-path outputs (sigma={cfg.noise.sigma})")
     captured = network.capture_features(
-        params, bits, cfg.optical, cfg.noise, seed=cfg.seed, workers=args.threads
+        params, bits, cfg.optical, cfg.noise, seed=cfg.seed, dtype=tconf.dtype, workers=args.threads
     )
     params, trace = network.finetune_stage2(params, (captured, labels), tconf)
     run_dir = _run_dir(args, cfg)
@@ -335,7 +335,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     bits, labels, _ = _load_split(args, cfg, "test", args.limit, params)
     result = network.evaluate(
         params, (bits, labels), mode=args.mode, config=cfg.optical, noise=cfg.noise,
-        workers=args.threads,
+        dtype=cfg.train.dtype, workers=args.threads,
     )
     metrics = {
         "dataset": args.dataset,

@@ -152,7 +152,10 @@ class TrainConfig:
     stage-1 conv layer and pool, and the head's feature-sized GEMMs (three
     in stage 1, the forward and the fc1_w gradient in stage 2), run in it.
     The bias adds, fc2, the softmax and the loss run in float64, as do the
-    masters and the optimizer's velocities. Physics checks run float64.
+    masters and the optimizer's velocities. The CLI runs the stage-2 capture
+    and eval, digital or optical, in it too. The conv engine's library
+    defaults (``conv_fourier_forward``, ``capture_features``, ``predict``)
+    and the physics probes run float64.
 
     Nothing in ``network`` reads ``noise``: captures take their noise as an
     argument. The field stays only because ``perfbench/workloads.py`` still
@@ -387,17 +390,6 @@ def _real_dtype(dtype: str) -> type:
     return _DTYPES[dtype]
 
 
-def _mode_dtype(mode: str, dtype: str) -> type:
-    """The real dtype of the conv layer in ``mode``: ``dtype`` digital,
-    float64 optical. Rejects an unknown dtype, then an unknown mode."""
-    rdtype = _real_dtype(dtype)
-    if mode == "digital":
-        return rdtype
-    if mode == "optical":
-        return np.float64
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Per-frame gain normalization to unit max, in place: squared-magnitude
     # outputs vary over orders of magnitude and the head retraining absorbs
@@ -507,16 +499,18 @@ def _require_capturable(
 
 def _capture(
     bits: np.ndarray, params: ModelParams, noise: NoiseSpec | None, rng: np.random.Generator | None,
-    group: int, windows: Callable[[np.ndarray], np.ndarray],
+    group: int, windows: Callable[[np.ndarray], np.ndarray], rdtype: type,
 ) -> np.ndarray:
     """The camera half of both optical paths. ``windows(part)`` gives the
-    float64 intensity windows (len(part), K, h, w) of a run of at most
+    ``rdtype`` intensity windows (len(part), K, h, w) of a run of at most
     ``group`` images of ``bits``; each run goes through the camera model in
     order, drawing from one noise stream (``rng``, or one seeded by
-    ``noise``), into one output gain-normalized per image."""
+    ``noise``), into one ``rdtype`` output gain-normalized per image. The
+    camera computes in float64 whatever ``rdtype``, so a float32 capture
+    draws the float64 capture's normals."""
     if noise is not None and rng is None:
         rng = np.random.default_rng(noise.seed)
-    out = np.empty((len(bits), params.n_kernels, *params.image_hw))
+    out = np.empty((len(bits), params.n_kernels, *params.image_hw), dtype=rdtype)
     for s in range(0, len(bits), group):
         part = bits[s : s + group]
         out[s : s + len(part)] = camera_capture(windows(part), noise, rng=rng)
@@ -529,10 +523,12 @@ def _conv_optical(
     config: OpticalConfig,
     noise: NoiseSpec | None,
     rng: np.random.Generator | None,
+    dtype: str = "float64",
     workers: int = 1,
 ) -> np.ndarray:
-    """Each image captured on its own frame: the engine's float64 windows
-    through the camera model, gain-normalized per image.
+    """Each image captured on its own frame: the engine's windows in
+    ``dtype`` through the camera model, gain-normalized per image in
+    ``dtype``.
 
     Behind an ideal aperture each kernel of a pair on diffraction orders 0
     and 1 gives its single-kernel 4f output, which on the image window is
@@ -542,17 +538,18 @@ def _conv_optical(
     groups whose windows fit ``_BLOCK_BYTES`` and share one kernel
     spectrum; the camera draws its noise in the output's order, so the
     groups give the bits of one capture of the batch."""
+    rdtype = _real_dtype(dtype)
     bits = np.asarray(bits)
     if bits.ndim == 2:
         bits = bits[None]
     _require_capturable(bits, params, config, noise)
-    image_bytes = 8 * params.n_kernels * math.prod(params.image_hw)
+    image_bytes = np.dtype(rdtype).itemsize * params.n_kernels * math.prod(params.image_hw)
     group = _blocks(max(len(bits), 1), image_bytes)[0].stop  # with no images any group >= 1 will do
 
     def windows(part: np.ndarray) -> np.ndarray:
-        return _conv_digital(part, params, "float64", workers, keep_fields=False)[0]
+        return _conv_digital(part, params, dtype, workers, keep_fields=False)[0]
 
-    return _capture(bits, params, noise, rng, group, windows)
+    return _capture(bits, params, noise, rng, group, windows, rdtype)
 
 
 def conv_fourier_forward(
@@ -568,20 +565,23 @@ def conv_fourier_forward(
     """Feature maps of the Fourier convolution layer, one per kernel.
 
     Digital mode computes |IFT(FT(x) * B(w))|^2 per kernel and crops to the
-    native image window, in ``dtype``. Optical mode runs the same engine in
-    float64, with the bench's rejections, and passes its windows through
-    the camera model; with noise off it equals digital float64 to floating
-    point. Outputs are gain-normalized per frame.
+    native image window. Optical mode runs the same engine, with the bench's
+    rejections, and passes its windows through the camera model; with noise
+    off it equals digital mode bitwise. Both modes run in ``dtype`` and
+    return it. Outputs are gain-normalized per frame.
 
-    The kernel spectrum is built on the first call for ``params`` in the
-    mode's dtype and reused by every later one (see ``ModelParams``), so a
+    The kernel spectrum is built on the first call for ``params`` in
+    ``dtype`` and reused by every later one (see ``ModelParams``), so a
     caller that runs many batches loads the bank once.
     """
-    _mode_dtype(mode, dtype)
+    _real_dtype(dtype)
     if mode == "digital":
         intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
         return _normalize_features(intensity)[0]
-    return _conv_optical(bits, params, OpticalConfig() if config is None else config, noise, rng, workers)
+    if mode != "optical":
+        raise ValueError(f"unknown mode {mode!r}")
+    config = OpticalConfig() if config is None else config
+    return _conv_optical(bits, params, config, noise, rng, dtype, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +793,11 @@ def _sgd(
     ``loss_and_grads(params, sel)`` gives the loss, accuracy and gradients
     of the samples ``sel``. Stage 1 re-masks the fresh masters after each
     step; stage 2 never writes its frozen bank. Returns the parameters and
-    a per-epoch loss/accuracy trace."""
+    a per-epoch loss/accuracy trace.
+
+    A step runs with numpy's overflow and invalid flags raising, which a
+    healthy step never sets: a step that overflows, or leaves a non-finite
+    loss, raises ``TrainingDivergedError`` before its parameters are kept."""
     if stage == 1:
         seed, epochs, lr, split = config.seed, config.epochs_stage1, config.lr_stage1, "train"
     else:
@@ -805,12 +809,16 @@ def _sgd(
         order = rng.permutation(n)
         losses, accs = [], []
         for step, s in enumerate(range(0, n, config.batch_size)):
-            loss, acc, grads = loss_and_grads(params, order[s : s + config.batch_size])
-            if not np.isfinite(loss):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, acc, grads = loss_and_grads(params, order[s : s + config.batch_size])
+                    if not np.isfinite(loss):
+                        raise FloatingPointError(f"loss={loss}")
+                    params = opt.step(params, grads, lr, config.momentum)
+            except FloatingPointError as exc:
                 raise TrainingDivergedError(
-                    f"stage {stage} diverged at epoch {epoch}, step {step}: loss={loss}"
-                )
-            params = opt.step(params, grads, lr, config.momentum)
+                    f"stage {stage} diverged at epoch {epoch}, step {step}: {exc}"
+                ) from None
             if stage == 1:
                 params = _apply_mask_to_masters(params)
             losses.append(loss)
@@ -856,13 +864,15 @@ def capture_features(
     config: OpticalConfig,
     noise: NoiseSpec | None,
     seed: int = 0,
+    dtype: str = "float64",
     workers: int = 1,
 ) -> np.ndarray:
-    """Hardware-surrogate capture: optical-mode conv outputs under noise,
-    drawn from a generator seeded with ``seed``. The camera draws K*h*w
-    normals per image, on the feature windows alone."""
+    """Hardware-surrogate capture: optical-mode conv outputs in ``dtype``
+    under noise, drawn from a generator seeded with ``seed``. The camera
+    draws K*h*w float64 normals per image, on the feature windows alone, the
+    same stream in either dtype."""
     rng = np.random.default_rng(seed)
-    return _conv_optical(bits, params, config, noise, rng, workers=workers)
+    return _conv_optical(bits, params, config, noise, rng, dtype, workers)
 
 
 def finetune_stage2(
@@ -984,7 +994,7 @@ def features_tiled(
         windows, _ = _inverse_windows(spectrum, bank, rows, cols, np.float64, workers, False)
         return windows.reshape(k, gr, h, gc, w).transpose(1, 3, 0, 2, 4).reshape(cap, k, h, w)[: len(part)]
 
-    return _capture(bits, params, noise, None, cap, frame_cells)
+    return _capture(bits, params, noise, None, cap, frame_cells, np.float64)
 
 
 def evaluate_tiled(

@@ -267,6 +267,32 @@ class TestFailureContract:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("stage, lr, code, needle", [
+        (1, 1e3, cli.EXIT_OK, None),
+        (1, 1e8, cli.EXIT_OK, None),
+        (1, 1e30, cli.EXIT_NUMERIC, "stage 1 diverged at epoch 0, step 1: overflow"),
+        (1, 1e300, cli.EXIT_NUMERIC, "stage 1 diverged at epoch 0, step 1: overflow"),
+        (2, 1e8, cli.EXIT_OK, None),
+        (2, 1e30, cli.EXIT_NUMERIC, "stage 2 diverged at epoch 0, step 2: overflow"),
+        (2, 1e300, cli.EXIT_NUMERIC, "stage 2 diverged at epoch 0, step 1: overflow"),
+    ])
+    def test_diverging_training(self, small_config, tmp_path, capsys, stage, lr, code, needle):
+        # a step whose arithmetic overflows is a numerical failure, caught
+        # before its non-finite parameters reach the next step
+        cfg = json.loads(small_config.read_text())
+        cfg["train"].update(batch_size=8, hidden=16, **{f"lr_stage{stage}": lr})
+        path = tmp_path / "lr.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "runs"
+        command = ["train"] if stage == 1 else ["finetune", stage1_checkpoint(cfg, tmp_path)]
+        assert run(["--config", path, "--out-dir", out_dir, "--seed", 3, *command, "--dataset", "mnist"]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        if needle is None:
+            assert err == [] and len(list(out_dir.glob(f"{command[0]}-*/stage{stage}.ckpt"))) == 1
+        else:
+            assert len(err) == 1 and err[0].startswith("numerical failure: ") and needle in err[0]
+            assert not out_dir.exists()
+
     @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
     def test_out_dir_under_a_file_fails_before_the_command_runs(self, small_config, tmp_path, capsys, out_dir):
         # at exit 1 and before any training, not as a data error once the run is done
@@ -514,6 +540,37 @@ class TestTrainEvalPipeline:
             np.save(tmp_path / f"img{seed}.npy", np.random.default_rng(seed).integers(0, 2, (28, 28)))
             assert cli_run("simulate", tmp_path / f"img{seed}.npy") == 0
         assert len(list(out_dir.glob("simulate-*/kernel0.f64"))) == 2
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_capture_and_eval_run_in_the_training_dtype(self, small_config, tmp_path, monkeypatch, dtype):
+        # eval writes what network.evaluate gives in train.dtype, and the
+        # finetune capture hands the head features of that dtype
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["dtype"] = dtype
+        small_config.write_text(json.dumps(cfg))
+        ckpt = stage1_checkpoint(cfg, tmp_path)
+        evals, captures = [], []
+        evaluate, capture = network.evaluate, network.capture_features
+
+        def recording_evaluate(params, dataset, **kwargs):
+            evals.append((params, dataset, kwargs))
+            return evaluate(params, dataset, **kwargs)
+
+        def recording_capture(*args, **kwargs):
+            captures.append(capture(*args, **kwargs))
+            return captures[-1]
+
+        monkeypatch.setattr(network, "evaluate", recording_evaluate)
+        monkeypatch.setattr(network, "capture_features", recording_capture)
+        out_dir = tmp_path / "runs"
+        for argv in (["eval", ckpt, "--dataset", "mnist", "--limit", 100], ["finetune", ckpt, "--dataset", "mnist"]):
+            assert run(["--config", small_config, "--out-dir", out_dir, *argv]) == 0
+        (params, dataset, kwargs), = evals
+        assert kwargs["dtype"] == dtype
+        want = evaluate(params, dataset, mode="digital", dtype=dtype)
+        metrics = json.loads(next(out_dir.glob("eval-*/metrics.json")).read_text())
+        assert (metrics["accuracy"], metrics["confusion"]) == (want.accuracy, want.confusion.tolist())
+        assert [c.dtype for c in captures] == [np.dtype(dtype)]
 
     def test_deterministic_checkpoints(self, small_config, tmp_path):
         a = tmp_path / "a"

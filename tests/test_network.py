@@ -944,7 +944,8 @@ class TestEvaluate:
         # 12 images in batches of 4 through per-batch forwards on one noise
         # stream, then predict on the same instance and on a fresh copy: the
         # features equal the forwards', and each instance builds its
-        # spectrum once in the mode's dtype however many batches it runs
+        # spectrum once, in the dtype asked for in either mode, however many
+        # batches it runs
         params = toy_params(seed=25)
         fresh = network.replace(params)
         bits = toy_batch(25, n=12)[0]
@@ -973,8 +974,7 @@ class TestEvaluate:
             for got, ref in zip(seen, want):
                 assert_same_bits(got, ref)
             assert_same_bits(preds, np.concatenate([head(f, params).argmax(axis=1) for f in want]))
-        rdtype = np.float64 if mode == "optical" else np.float32
-        assert builds == [(id(params), rdtype), (id(fresh), rdtype)]
+        assert builds == [(id(params), np.float32), (id(fresh), np.float32)]
 
     @pytest.mark.parametrize("dtype, needle", [("float32", "unknown mode 'holographic'"),
                                                ("float16", "dtype must be one of")])
@@ -1048,6 +1048,61 @@ class TestOpticalCapture:
         whole = capture_features(params, bits, OpticalConfig(), noise, seed=3)
         monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 8 * 8 * 8)  # chunks of 2 + 2 + 1
         assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, seed=3), whole)
+
+
+class TestOpticalPrecision:
+    """Optical mode runs the conv engine in the dtype asked for, as digital
+    mode does; the camera computes in float64 and draws the same normals in
+    either dtype."""
+
+    case = staticmethod(TestOpticalCapture.case)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_noise_free_optical_equals_digital_bitwise(self, dtype):
+        params, bits = self.case()
+        digital = conv_fourier_forward(bits, params, dtype=dtype)
+        assert digital.dtype == np.dtype(dtype)
+        assert_same_bits(conv_fourier_forward(bits, params, mode="optical", dtype=dtype), digital)
+        assert_same_bits(capture_features(params, bits, OpticalConfig(), None, dtype=dtype), digital)
+
+    def test_float32_capture_tracks_float64(self):
+        # one seed, one noise stream: the dtypes differ by the engine's
+        # rounding alone, far below the unit peak, and a head scores both alike
+        params, bits = self.case(grid=64, n=27)
+        noise = NoiseSpec(sigma=0.1, dark=1e-4)
+        f32, f64 = (capture_features(params, bits, OpticalConfig(), noise, seed=7, dtype=dtype)
+                    for dtype in ("float32", "float64"))
+        assert f32.dtype == np.float32 and f64.dtype == np.float64
+        assert np.max(np.abs(f32 - f64)) <= 1e-5
+        preds = [head_forward(f, params).argmax(axis=1) for f in (f32, f64)]
+        assert np.array_equal(*preds)
+
+    def test_float32_batch_equals_its_parts_from_one_rng(self, monkeypatch):
+        # parts of 2 + 2 + 1 images drawn in order from one generator give
+        # the bits of one capture of the batch, and so do image groups of
+        # two float32 windows; the same block holds one float64 image
+        params, bits = self.case()
+        noise = NoiseSpec(sigma=0.1, dark=1e-4)
+        rng = np.random.default_rng(3)
+        parts = np.concatenate([
+            conv_fourier_forward(bits[s : s + 2], params, mode="optical", noise=noise, rng=rng, dtype="float32")
+            for s in range(0, 5, 2)
+        ])
+        whole = capture_features(params, bits, OpticalConfig(), noise, seed=3, dtype="float32")
+        assert_same_bits(parts, whole)
+        groups, camera = [], network.camera_capture
+
+        def counting_camera(intensity, *args, **kwargs):
+            groups.append(len(intensity))
+            return camera(intensity, *args, **kwargs)
+
+        monkeypatch.setattr(network, "camera_capture", counting_camera)
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 8 * 8 * 4)
+        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, seed=3, dtype="float32"), whole)
+        assert groups == [2, 2, 1]
+        groups.clear()
+        capture_features(params, bits, OpticalConfig(), noise, seed=3)
+        assert groups == [1] * 5
 
 
 class TestTiled:
