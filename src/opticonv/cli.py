@@ -283,27 +283,24 @@ def _train_config(cfg: RunConfig) -> network.TrainConfig:
         epochs_stage1=t.epochs_stage1,
         epochs_stage2=t.epochs_stage2,
         seed=cfg.seed,
-        grid=t.grid,
         dtype=t.dtype,
     )
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     bits, labels, n_classes = _load_split(args, cfg, "train", cfg.train.limit)
-    tconf = _train_config(cfg)
-    _log(f"stage 1 on {len(bits)} {args.dataset} images, grid {tconf.grid}")
+    _log(f"stage 1 on {len(bits)} {args.dataset} images, grid {cfg.train.grid}")
     params = network.init_params(
         seed=cfg.seed,
         n_kernels=cfg.train.n_kernels,
-        grid=tconf.grid,
+        grid=cfg.train.grid,
         image_hw=bits.shape[1:],
         n_classes=n_classes,
         hidden=cfg.train.hidden,
         highpass_mask_enabled=not args.no_highpass,
     )
     params, trace = network.train_stage1(
-        (bits, labels), tconf, params=params, n_classes=n_classes,
-        workers=args.threads, log_every=args.log_every,
+        (bits, labels), _train_config(cfg), params, workers=args.threads, log_every=args.log_every
     )
     run_dir = _run_dir(args, cfg)
     ckpt = network.save_checkpoint(params, run_dir / "stage1.ckpt", stage=1, seed=cfg.seed)

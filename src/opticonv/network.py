@@ -154,12 +154,13 @@ class TrainConfig:
     The bias adds, fc2, the softmax and the loss run in float64, as do the
     masters and the optimizer's velocities. The CLI runs the stage-2 capture
     and eval, digital or optical, in it too. The conv engine's library
-    defaults (``conv_fourier_forward``, ``capture_features``, ``predict``)
-    and the physics probes run float64.
+    defaults (``conv_fourier_forward``, ``capture_features``, ``predict``,
+    ``evaluate``) and the physics probes run float64.
 
-    Nothing in ``network`` reads ``noise``: captures take their noise as an
-    argument. The field stays only because ``perfbench/workloads.py`` still
-    passes it."""
+    Nothing in the package reads ``grid`` or ``noise``: ``train_stage1``
+    takes its parameters, grid included, and captures take their noise as
+    an argument. The two fields stay only because the benchmark's
+    ``perfbench/workloads.py`` still passes them."""
 
     lr_stage1: float = 0.01
     lr_stage2: float = 0.005
@@ -407,8 +408,8 @@ def _inverse_windows(
     rows: slice | np.ndarray,
     cols: slice | np.ndarray,
     rdtype: type,
-    workers: int = 1,
-    keep_fields: bool = True,
+    workers: int,
+    keep_fields: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Intensity |U|^2 and field U (B, K, R, C) of every input spectrum
     (B, n, m) times every kernel spectrum (K, n, m), inverted and read at
@@ -467,8 +468,6 @@ def _conv_digital(
     rdtype = _real_dtype(dtype)
     h, w = params.image_hw
     bits = np.asarray(bits, dtype=rdtype)
-    if bits.ndim == 2:
-        bits = bits[None]
     if bits.shape[1:] != (h, w):
         raise ValueError(f"batch {bits.shape} does not match native window {(h, w)}")
     kernel_spec = params._kernel_spec(rdtype) if kernel_spec is None else kernel_spec
@@ -523,8 +522,8 @@ def _conv_optical(
     config: OpticalConfig,
     noise: NoiseSpec | None,
     rng: np.random.Generator | None,
-    dtype: str = "float64",
-    workers: int = 1,
+    dtype: str,
+    workers: int,
 ) -> np.ndarray:
     """Each image captured on its own frame: the engine's windows in
     ``dtype`` through the camera model, gain-normalized per image in
@@ -540,8 +539,6 @@ def _conv_optical(
     groups give the bits of one capture of the batch."""
     rdtype = _real_dtype(dtype)
     bits = np.asarray(bits)
-    if bits.ndim == 2:
-        bits = bits[None]
     _require_capturable(bits, params, config, noise)
     image_bytes = np.dtype(rdtype).itemsize * params.n_kernels * math.prod(params.image_hw)
     group = _blocks(max(len(bits), 1), image_bytes)[0].stop  # with no images any group >= 1 will do
@@ -568,13 +565,17 @@ def conv_fourier_forward(
     native image window. Optical mode runs the same engine, with the bench's
     rejections, and passes its windows through the camera model; with noise
     off it equals digital mode bitwise. Both modes run in ``dtype`` and
-    return it. Outputs are gain-normalized per frame.
+    return it. Outputs are gain-normalized per frame. A single 2-D image is
+    a batch of one.
 
     The kernel spectrum is built on the first call for ``params`` in
     ``dtype`` and reused by every later one (see ``ModelParams``), so a
     caller that runs many batches loads the bank once.
     """
     _real_dtype(dtype)
+    bits = np.asarray(bits)
+    if bits.ndim == 2:
+        bits = bits[None]
     if mode == "digital":
         intensity = _conv_digital(bits, params, dtype=dtype, workers=workers, keep_fields=False)[0]
         return _normalize_features(intensity)[0]
@@ -629,8 +630,6 @@ def head_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
     ``flat @ fc1_w`` runs in the features' dtype (float32 features stay
     float32); the bias adds and fc2 run in float64, so the logits are
     float64. Float64 features take the float64 head unchanged."""
-    if features.ndim == 3:
-        features = features[None]
     b, k, h, w = features.shape
     if (k, h, w) != (params.n_kernels, *params.image_hw):
         raise ValueError(
@@ -833,8 +832,7 @@ def _sgd(
 def train_stage1(
     dataset: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
-    params: ModelParams | None = None,
-    n_classes: int = 10,
+    params: ModelParams,
     workers: int = 1,
     log_every: int = 0,
 ) -> tuple[ModelParams, list[dict]]:
@@ -845,8 +843,6 @@ def train_stage1(
     parameters and a per-epoch loss/accuracy trace.
     """
     bits, labels = map(np.asarray, dataset)
-    if params is None:
-        params = init_params(seed=config.seed, grid=config.grid, image_hw=bits.shape[1:], n_classes=n_classes)
 
     def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
         return _loss_and_grads(p, bits[sel], labels[sel], config.dtype, workers)
@@ -882,14 +878,13 @@ def finetune_stage2(
 ) -> tuple[ModelParams, list[dict]]:
     """Retrain fc1/fc2 on captured conv outputs; kernels stay frozen.
 
-    The features are pooled once, a cache block of captures at a time,
-    straight into ``config.dtype``, so the head's feature-sized GEMMs run in
-    it as in stage 1; the bias adds, fc2, the softmax, the loss, the float64
-    masters and the optimizer's velocities do not. A float64 config runs the
-    float64 head unchanged."""
-    features, labels = captured
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
+    The features are pooled once in their own dtype, a cache block of
+    captures at a time, straight into ``config.dtype`` (max and the cast are
+    exact, so the capture's dtype does not move a bit), and the head's
+    feature-sized GEMMs run in it as in stage 1; the bias adds, fc2, the
+    softmax, the loss, the float64 masters and the optimizer's velocities do
+    not. A float64 config runs the float64 head unchanged."""
+    features, labels = map(np.asarray, captured)
     if features.shape[1:] != (params.n_kernels, *params.image_hw):
         raise ValueError(
             f"captured features {features.shape[1:]} do not match the stage-1 head "
@@ -947,10 +942,11 @@ def evaluate(
     mode: str = "digital",
     config: OpticalConfig | None = None,
     noise: NoiseSpec | None = None,
-    dtype: str = "float32",
+    dtype: str = "float64",
     workers: int = 1,
 ) -> EvalResult:
-    """Top-1 accuracy and per-class confusion on a (bits, labels) split."""
+    """Top-1 accuracy and per-class confusion on a (bits, labels) split; the
+    engine runs in ``dtype``, float64 by default like ``predict``."""
     bits, labels = dataset
     preds = predict(params, bits, mode, config, noise, dtype, workers)
     return _score(preds, labels, params.n_classes)

@@ -385,31 +385,31 @@ def camera_capture(
     """Detector model: bin-average, apply gain noise and dark floor, clamp.
 
     ``rng`` overrides the spec's seed-derived generator; pass a shared
-    generator when capturing a stream of frames under one seed.
+    generator when capturing a stream of frames under one seed. Returns
+    float64, bit for bit as for a float64 copy of ``intensity``.
     """
-    intensity = np.asarray(intensity, dtype=np.float64)
-    if intensity.size and intensity.min() < 0:
+    out = np.asarray(intensity)
+    if out.size and out.min() < 0:
         raise ValueError("intensity must be non-negative")
     if noise is None:
         noise = NoiseSpec()
-    out = intensity
     b = noise.bin_factor
     if b > 1:
         h, w = out.shape[-2:]
         if h % b or w % b:
             raise ValueError(f"grid {out.shape} not divisible by bin factor {b}")
-        out = out.reshape(*out.shape[:-2], h // b, b, w // b, b).mean(axis=(-3, -1))
-    if noise.sigma > 0 or noise.dark > 0:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        # max(I * (1 + sigma * n) + dark, 0), built in one fresh buffer
-        if noise.sigma > 0:
-            buf = rng.standard_normal(out.shape)
-            buf *= noise.sigma
-            buf += 1.0
-            buf *= out
-        else:
-            buf = out.copy()
-        buf += noise.dark
-        out = np.maximum(buf, 0.0, out=buf)
-    return out
+        out = out.astype(np.float64, copy=False).reshape(*out.shape[:-2], h // b, b, w // b, b).mean(axis=(-3, -1))
+    if noise.sigma == 0 and noise.dark == 0:
+        return out.astype(np.float64, copy=False)
+    if rng is None:
+        rng = np.random.default_rng(noise.seed)
+    # max(I * (1 + sigma * n) + dark, 0), built in one fresh float64 buffer
+    if noise.sigma > 0:
+        buf = rng.standard_normal(out.shape)
+        buf *= noise.sigma
+        buf += 1.0
+        buf *= out
+    else:
+        buf = out.astype(np.float64)
+    buf += noise.dark
+    return np.maximum(buf, 0.0, out=buf)

@@ -57,13 +57,10 @@ def full_mnist_pipeline(mnist):
     stage-2 head calibration on noisy optical captures, full test split."""
     bits_tr = _binarize(mnist.train_images)
     bits_te = _binarize(mnist.test_images)
-    cfg = TrainConfig(
-        epochs_stage1=1, epochs_stage2=8, batch_size=64, seed=0, grid=GRID, dtype="float32"
-    )
+    cfg = TrainConfig(epochs_stage1=1, epochs_stage2=8, batch_size=64, seed=0, dtype="float32")
     t0 = time.perf_counter()
-    params1, trace = network.train_stage1(
-        (bits_tr, mnist.train_labels), cfg, n_classes=10, workers=WORKERS
-    )
+    params1 = init_params(seed=cfg.seed, grid=GRID, image_hw=(28, 28), n_classes=10)
+    params1, trace = network.train_stage1((bits_tr, mnist.train_labels), cfg, params1, workers=WORKERS)
     res1 = network.evaluate(
         params1, (bits_te, mnist.test_labels), mode="digital", dtype="float32", workers=WORKERS
     )
@@ -90,7 +87,7 @@ def full_mnist_pipeline(mnist):
 def _train_twin(mnist, highpass: bool):
     bits = _binarize(mnist.train_images[:TWIN_TRAIN_N])
     labels = mnist.train_labels[:TWIN_TRAIN_N]
-    cfg = TrainConfig(epochs_stage1=1, batch_size=64, seed=3, grid=GRID, dtype="float32")
+    cfg = TrainConfig(epochs_stage1=1, batch_size=64, seed=3, dtype="float32")
     params = init_params(
         seed=3, n_kernels=16, grid=GRID, image_hw=(28, 28), n_classes=10,
         highpass_mask_enabled=highpass,
@@ -179,8 +176,9 @@ def test_criterion_4_quickdraw_accuracy(quickdraw, record_criterion):
     bits_te = _binarize(np.concatenate(test_x))
     labels_tr = np.concatenate(train_y)
     labels_te = np.concatenate(test_y)
-    cfg = TrainConfig(epochs_stage1=2, batch_size=64, seed=5, grid=GRID, dtype="float32")
-    params, _ = network.train_stage1((bits_tr, labels_tr), cfg, n_classes=10, workers=WORKERS)
+    cfg = TrainConfig(epochs_stage1=2, batch_size=64, seed=5, dtype="float32")
+    params = init_params(seed=cfg.seed, grid=GRID, image_hw=(28, 28), n_classes=10)
+    params, _ = network.train_stage1((bits_tr, labels_tr), cfg, params, workers=WORKERS)
     res = network.evaluate(params, (bits_te, labels_te), mode="digital", dtype="float32", workers=WORKERS)
     ok = res.accuracy >= 0.85
     record_criterion("criterion 4: Quickdraw accuracy", ok, f"accuracy {res.accuracy:.4f}")
@@ -277,7 +275,7 @@ def test_criterion_7_stage2_recovery(twin_models, mnist, record_criterion):
     captures = network.capture_features(
         params, train_bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=22), seed=22, workers=WORKERS
     )
-    cfg = TrainConfig(epochs_stage2=8, batch_size=64, seed=7, grid=GRID)
+    cfg = TrainConfig(epochs_stage2=8, batch_size=64, seed=7)
     tuned, _ = network.finetune_stage2(params, (captures, train_labels), cfg)
     finetuned = float(
         np.mean(network.head_forward(noisy_held, tuned).argmax(axis=1) == held_labels)

@@ -12,6 +12,7 @@ import pytest
 
 from opticonv import cli, network
 from opticonv.datapipe import DataFormatError, read_raw, write_pgm
+from opticonv.optics import FieldPlane, OpticalConfig, ideal_aperture, multi_kernel_forward
 
 import synthquickdraw
 
@@ -149,9 +150,10 @@ class TestFailureContract:
         code = run(["--out-dir", tmp_path, "perf", "--custom", 28, 28, 0, 1, 10])
         assert_one_line_usage_error(code, capsys, "input_parallelism")
 
-    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    @pytest.mark.parametrize("rate", ["inf", "nan", "abc"])
     def test_non_finite_custom_perf_rate(self, tmp_path, capsys, rate):
-        # perf.json would carry Infinity or NaN, which is not JSON
+        # perf.json would carry Infinity or NaN, which is not JSON; a rate
+        # that is no number at all fails alike
         out_dir = tmp_path / "runs"
         code = run(["--out-dir", out_dir, "perf", "--custom", 10, 10, 1, 1, rate])
         assert_one_line_usage_error(code, capsys, "frame_rate_hz")
@@ -654,6 +656,32 @@ class TestSimulateCommand:
         g = cfg["train"]["grid"]
         r0, c0 = (g - 28) // 2, (g - 28) // 2
         assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
+
+    def test_checkpoint_kernels_are_the_first_of_the_bank(self, small_config, tmp_path):
+        # with the noise off, --kernels 2 projects the checkpoint's first two
+        # binary kernels on orders 0 and 1 behind the ideal aperture
+        img = np.random.default_rng(3).integers(0, 2, (28, 28)).astype(np.uint8)
+        np.save(tmp_path / "digit.npy", img)
+        cfg = json.loads(small_config.read_text())
+        cfg["noise"]["sigma"] = 0.0
+        path = tmp_path / "clean.json"
+        path.write_text(json.dumps(cfg))
+        ckpt = stage1_checkpoint(cfg, tmp_path)
+        out_dir = tmp_path / "runs"
+        assert run(["--config", path, "--out-dir", out_dir, "simulate", tmp_path / "digit.npy",
+                    "--checkpoint", ckpt, "--kernels", 2]) == 0
+        g = cfg["train"]["grid"]
+        frame = np.zeros((g, g), np.uint8)
+        frame[(g - 28) // 2 : (g + 28) // 2, (g - 28) // 2 : (g + 28) // 2] = img
+        optical = OpticalConfig()
+        want = multi_kernel_forward(FieldPlane.from_bits(frame, optical.dmd_pitch),
+                                    list(network.binarized_kernels(network.load_checkpoint(ckpt)[0])[:2]),
+                                    optical, ideal_aperture([0, 1], (g, g), optical))
+        run_dir = next(out_dir.glob("simulate-*"))
+        for k in range(2):
+            got, _ = read_raw(run_dir / f"kernel{k}.f64")
+            assert got.tobytes() == want[k].tobytes()
+        assert not (run_dir / "kernel2.f64").exists()
 
     def test_binning_at_zero_sigma(self, small_config, tmp_path):
         # sigma 0 still runs the camera model: bin_factor 2 halves the maps

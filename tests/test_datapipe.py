@@ -226,13 +226,22 @@ class TestTileUntile:
         assert frame[:10, :10].all()
         assert frame.sum() == 100  # other cells empty
 
-    def test_round_trip_exact(self):
-        layout = self.layout()
-        rng = np.random.default_rng(4)
-        imgs = [rng.integers(0, 2, (10, 10)).astype(np.uint8) for _ in range(9)]
-        back = untile(tile(imgs, layout), layout)
-        for a, b in zip(imgs, back):
-            assert np.array_equal(a, b)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), gap=st.integers(0, 3),
+           tile_px=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           margin=st.tuples(st.integers(0, 3), st.integers(0, 3)), data=st.data())
+    def test_round_trip_exact(self, rows, cols, gap, tile_px, margin, data):
+        # any layout that fits its frame gives each binary image back bit for
+        # bit, lights nothing outside the images, and leaves spare cells dark
+        frame = tuple(n * t + (n - 1) * gap + m for n, t, m in zip((rows, cols), tile_px, margin))
+        layout = TileLayout(rows, cols, gap, tile_px, frame)
+        n = data.draw(st.integers(0, layout.capacity))
+        imgs = data.draw(st.lists(arrays(np.uint8, tile_px, elements=st.integers(0, 1)), min_size=n, max_size=n))
+        placed = tile(imgs, layout)
+        back = untile(placed, layout)
+        assert [b.tobytes() for b in back[:n]] == [a.tobytes() for a in imgs]
+        assert not any(b.any() for b in back[n:])
+        assert placed.sum() == sum(int(a.sum()) for a in imgs)
 
     def test_capacity_exceeded(self):
         layout = self.layout()

@@ -387,7 +387,7 @@ class TestBlockedEngine:
         # split the batches. The mask is on, so its centre-only form is covered.
         params = init_params(seed=3, n_kernels=16, grid=64, image_hw=(28, 28), hidden=32)
         bits, labels = toy_batch(3, n=37, hw=(28, 28), classes=10)
-        cfg = TrainConfig(epochs_stage1=3, batch_size=8, lr_stage1=0.2, seed=4, grid=64, dtype=dtype)
+        cfg = TrainConfig(epochs_stage1=3, batch_size=8, lr_stage1=0.2, seed=4, dtype=dtype)
         got, got_trace = train_stage1((bits, labels), cfg, params=params)
         want, want_trace = train_stage1_oracle((bits, labels), cfg, params)
         assert got_trace == want_trace
@@ -402,7 +402,7 @@ class TestBlockedEngine:
         monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 64 * 64 * 8)
         params = init_params(seed=7, n_kernels=5, grid=64, image_hw=(28, 28), hidden=16)
         bits, labels = toy_batch(7, n=11, hw=(28, 28), classes=10)
-        cfg = TrainConfig(epochs_stage1=2, batch_size=4, lr_stage1=0.2, seed=8, grid=64, dtype=dtype)
+        cfg = TrainConfig(epochs_stage1=2, batch_size=4, lr_stage1=0.2, seed=8, dtype=dtype)
         got, got_trace = train_stage1((bits, labels), cfg, params=params)
         want, want_trace = train_stage1_oracle((bits, labels), cfg, params)
         assert got_trace == want_trace
@@ -653,13 +653,13 @@ class TestTrainStage1:
         bits = np.zeros((n, 8, 8), dtype=np.uint8)
         bits[labels == 0, :4] = rng.integers(0, 2, (int((labels == 0).sum()), 4, 8))
         bits[labels == 1, 4:] = rng.integers(0, 2, (int((labels == 1).sum()), 4, 8))
-        cfg = TrainConfig(epochs_stage1=5, batch_size=32, seed=0, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=5, batch_size=32, seed=0, dtype="float64")
         params, trace = train_stage1((bits, labels), cfg, params=toy_params(seed=9, classes=2))
         assert trace[-1]["accuracy"] >= 0.95
 
     def test_seeded_determinism(self):
         bits, labels = toy_batch(10, n=64)
-        cfg = TrainConfig(epochs_stage1=2, batch_size=16, seed=5, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=2, batch_size=16, seed=5, dtype="float64")
         p1, _ = train_stage1((bits, labels), cfg, params=toy_params(seed=11))
         p2, _ = train_stage1((bits, labels), cfg, params=toy_params(seed=11))
         for name in network._PARAM_NAMES:
@@ -669,7 +669,7 @@ class TestTrainStage1:
         # the gain normalization and stabilized softmax keep blowups finite,
         # so drive the NaN-loss abort directly through a poisoned weight
         bits, labels = toy_batch(12, n=32)
-        cfg = TrainConfig(epochs_stage1=1, batch_size=8, seed=0, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=1, batch_size=8, seed=0, dtype="float64")
         params = toy_params(seed=12)
         bad = params.fc1_w.copy()
         bad[0, 0] = np.nan
@@ -678,7 +678,7 @@ class TestTrainStage1:
 
     def test_log_every_prints_one_line_per_step(self, capsys):
         bits, labels = toy_batch(12, n=20)  # 3 steps per epoch, the last of 4 images
-        cfg = TrainConfig(epochs_stage1=2, batch_size=8, seed=0, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=2, batch_size=8, seed=0, dtype="float64")
         train_stage1((bits, labels), cfg, params=toy_params(seed=12), log_every=1)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" loss ")[0] for line in lines] == [
@@ -687,7 +687,7 @@ class TestTrainStage1:
 
     def test_mask_persists_after_steps(self):
         bits, labels = toy_batch(13, n=32)
-        cfg = TrainConfig(epochs_stage1=1, batch_size=8, seed=0, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=1, batch_size=8, seed=0, dtype="float64")
         params, _ = train_stage1((bits, labels), cfg, params=toy_params(seed=13, mask=True))
         b = binarized_kernels(params)
         c = params.grid // 2
@@ -697,7 +697,7 @@ class TestTrainStage1:
 class TestStage2:
     def _trained(self):
         bits, labels = toy_batch(14, n=48)
-        cfg = TrainConfig(epochs_stage1=2, batch_size=16, seed=1, grid=16, dtype="float64")
+        cfg = TrainConfig(epochs_stage1=2, batch_size=16, seed=1, dtype="float64")
         params, _ = train_stage1((bits, labels), cfg, params=toy_params(seed=14))
         return params, bits, labels, cfg
 
@@ -733,15 +733,16 @@ class TestStage2:
         dig = conv_fourier_forward(bits[:4], params, mode="digital", dtype="float64")
         assert np.max(np.abs(cap - dig)) < 1e-9
 
-    def _captured(self, n=45):
+    def _captured(self, n=45, dtype="float64"):
         # 45 captures in batches of 16 leave a batch of 13
         params, bits, labels, _ = self._trained()
-        feats = capture_features(params, bits[:n], OpticalConfig(), NoiseSpec(sigma=0.1, seed=5), seed=5)
+        feats = capture_features(params, bits[:n], OpticalConfig(), NoiseSpec(sigma=0.1, seed=5), seed=5,
+                                 dtype=dtype)
         return params, (feats, labels[:n])
 
     @staticmethod
     def config(dtype):
-        return TrainConfig(epochs_stage2=3, batch_size=16, lr_stage2=0.05, seed=6, grid=16, dtype=dtype)
+        return TrainConfig(epochs_stage2=3, batch_size=16, lr_stage2=0.05, seed=6, dtype=dtype)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_matches_oracle_loop_bitwise(self, dtype):
@@ -792,6 +793,31 @@ class TestStage2:
             assert_same_bits(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_float32_captures_keep_the_bits_of_a_float64_copy(self, dtype):
+        # float32 captures pool in float32; the parameters keep the bits of
+        # pooling a float64 copy of them, which the oracle makes
+        params, captured = self._captured(dtype="float32")
+        assert captured[0].dtype == np.float32
+        got, got_trace = finetune_stage2(params, captured, self.config(dtype))
+        want, want_trace = finetune_stage2_oracle(params, captured, self.config(dtype))
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    def test_float32_captures_are_not_copied_to_float64(self):
+        # 2016 float32 captures: a float64 copy alone would take twice their bytes
+        params, bits, labels, _ = self._trained()
+        feats = np.tile(capture_features(params, bits, OpticalConfig(), None, dtype="float32"), (42, 1, 1, 1))
+        cfg = network.replace(self.config("float32"), epochs_stage2=1)
+        tracemalloc.start()
+        try:
+            finetune_stage2(params, (feats, np.tile(labels, 42)), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * feats.nbytes
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_masters_and_velocities_stay_float64(self, monkeypatch, dtype):
         optimizers, grad_dtypes = [], set()
 
@@ -821,7 +847,7 @@ class TestReadOnlyParams:
         for name in network._PARAM_NAMES:
             getattr(params, name).flags.writeable = False
         bits, labels = toy_batch(15, n=12)
-        cfg = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=4, seed=1, grid=16)
+        cfg = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=4, seed=1)
         stepped, _ = train_stage1((bits, labels), cfg, params=params)
         assert not np.array_equal(stepped.fourier_kernels, params.fourier_kernels)
         feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=2))
@@ -906,7 +932,7 @@ class TestEvaluate:
         bits = rng.integers(0, 2, (2000, 8, 8)).astype(np.uint8)
         labels = rng.integers(0, 10, 2000)
         params = init_params(seed=16, n_kernels=2, grid=16, image_hw=(8, 8), n_classes=10, hidden=8)
-        res = evaluate(params, (bits, labels), mode="digital", dtype="float64")
+        res = evaluate(params, (bits, labels), mode="digital")
         sigma = np.sqrt(0.1 * 0.9 / 2000)
         assert abs(res.accuracy - 0.1) < 3 * sigma + 1e-9
         assert res.confusion.sum() == 2000
@@ -914,7 +940,7 @@ class TestEvaluate:
     def test_confusion_diagonal_counts_hits(self):
         bits, labels = toy_batch(17, n=20)
         params = toy_params(seed=17)
-        res = evaluate(params, (bits, labels), mode="digital", dtype="float64")
+        res = evaluate(params, (bits, labels), mode="digital")
         assert res.confusion.trace() == int(round(res.accuracy * 20))
 
     def test_optical_noise_stream_spans_batches(self, monkeypatch):
@@ -1035,12 +1061,14 @@ class TestOpticalCapture:
         assert abs(np.std(np.concatenate(spread)) / sigma - 1.0) <= 0.1
 
     def test_single_image_equals_one_image_batch(self):
+        # conv_fourier_forward promotes a 2-D image once, for both modes
         params, bits = self.case()
         noise = NoiseSpec(sigma=0.1, dark=1e-4)
-        one, batch = (conv_fourier_forward(x, params, mode="optical", noise=noise, rng=np.random.default_rng(2))
-                      for x in (bits[0], bits[:1]))
-        assert one.shape == (1, 5, 8, 8)
-        assert_same_bits(one, batch)
+        for mode in ("digital", "optical"):
+            one, batch = (conv_fourier_forward(x, params, mode=mode, noise=noise, rng=np.random.default_rng(2))
+                          for x in (bits[0], bits[:1]))
+            assert one.shape == (1, 5, 8, 8)
+            assert_same_bits(one, batch)
 
     def test_chunks_give_the_bits_of_one_capture(self, monkeypatch):
         params, bits = self.case()

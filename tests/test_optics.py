@@ -231,6 +231,12 @@ class TestForward4f:
         with pytest.raises(ValueError):
             forward_4f(plane, np.ones((4, 4)), paper_config)
 
+    def test_overflowing_intensity_raises(self, paper_config):
+        # a finite field whose intensity overflows float64 reaches the guard
+        plane = FieldPlane(np.full((8, 8), 1e200), 7.6e-6)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite intensity"):
+            forward_4f(plane, np.ones((8, 8)), paper_config)
+
     def test_flip_disabled_gives_inverted_image(self, paper_config):
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, (16, 16))
@@ -246,6 +252,13 @@ class TestForward4f:
 
 
 class TestMultiKernel:
+    @pytest.mark.parametrize("with_aperture", [True, False], ids=["aperture", "no-aperture"])
+    def test_overflowing_intensity_raises(self, paper_config, with_aperture):
+        plane = FieldPlane(np.full((8, 8), 1e200), 7.6e-6)
+        aperture = ideal_aperture([0, 1], (8, 8), paper_config) if with_aperture else None
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite intensity"):
+            multi_kernel_forward(plane, [np.ones((8, 8))] * 2, paper_config, aperture)
+
     def test_single_kernel_bit_identical(self, paper_config):
         rng = np.random.default_rng(7)
         plane = random_plane(rng, 32)
@@ -389,6 +402,17 @@ class TestCameraCapture:
         assert (want == 0).any()
         assert got.tobytes() == want.tobytes()
         assert img.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(), NoiseSpec(bin_factor=2), NoiseSpec(dark=0.02), NoiseSpec(dark=0.02, bin_factor=2),
+        NoiseSpec(sigma=1.5, dark=0.02), NoiseSpec(sigma=1.5, dark=0.02, bin_factor=2),
+    ], ids=["identity", "binned", "dark", "dark-binned", "noisy", "noisy-binned"])
+    def test_float32_input_gives_the_bytes_of_its_float64_copy(self, spec):
+        img = np.random.default_rng(13).random((16, 16)).astype(np.float32)
+        got = camera_capture(img, spec, rng=np.random.default_rng(5))
+        want = camera_capture(img.astype(np.float64), spec, rng=np.random.default_rng(5))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_noise_unbiased(self):
         # Monte-Carlo: mean over 10^4 noisy samples of a constant plane
