@@ -35,7 +35,8 @@ import numpy as np
 from . import datapipe, network, perfmodel
 from .datapipe import DataFormatError
 from .network import TrainingDivergedError
-from .optics import FieldPlane, NoiseSpec, OpticalConfig, camera_capture, ideal_aperture, multi_kernel_forward
+from .optics import DEFAULT_ORDER_SEQUENCE, FieldPlane, NoiseSpec, OpticalConfig
+from .optics import camera_capture, ideal_aperture, multi_kernel_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -399,7 +400,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     else:
         bank = np.ones((args.kernels, g, g))
     kernels = list(bank)
-    aperture = ideal_aperture(range(len(kernels)), (g, g), cfg.optical)
+    aperture = ideal_aperture(DEFAULT_ORDER_SEQUENCE[: len(kernels)], (g, g), cfg.optical)
     outputs = multi_kernel_forward(plane, kernels, cfg.optical, aperture)
     rng = np.random.default_rng(cfg.seed)
     outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]

@@ -14,7 +14,7 @@ decomposed into stacks of binary planes through a threshold ladder. Grayscale
 sets use a single plane at a fraction of the per-image maximum; RGB sets use
 ``levels`` evenly spaced interior thresholds per channel (levels=4 turns one
 image into 12 planes). Multi-image throughput comes from tiling several
-images onto one frame with enough spacing to keep their spectra separable.
+images onto one frame; ``TileLayout`` places them on a grid of cells.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import OpticalConfig, geometry_pretransform
-
 __all__ = [
     "DataFormatError",
     "Dataset",
@@ -44,7 +42,6 @@ __all__ = [
     "quantize_gray",
     "recombine",
     "ssim",
-    "make_layout",
     "tile",
     "untile",
     "load_mnist",
@@ -238,26 +235,13 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
 # ---------------------------------------------------------------------------
 # tiling
 
-DATASET_GEOMETRY = {
-    "mnist": (28, 28),
-    "quickdraw": (28, 28),
-    "cifar10": (32, 32),
-}
-
-MIN_CONTENT_GAP = 30  # px of separation the crosstalk mitigation requires
-
 
 @dataclass(frozen=True)
 class TileLayout:
     """Placement of a grid of image tiles on a mirror frame.
 
-    ``tile_px`` is the cell size after the superpixel/stretch pretransform and
-    padding; cells are placed row-major with ``gap`` pixels between them. In
-    experiment mode the 30 px inter-tile gap supplies the spectral
-    separation; in padded accounting mode (2x padding, 168x168 cells for
-    28x28 sources on the reference bench) the in-cell margin supplies it and
-    an 11x6 grid fills the 1920x1080 frame. The same accounting is sometimes
-    quoted as 11x19 elsewhere; only 11x6 follows from the geometry.
+    ``tile_px`` is the cell size; cells are placed row-major with ``gap``
+    pixels between them, and the grid must fit ``frame``.
     """
 
     grid_rows: int
@@ -290,66 +274,12 @@ class TileLayout:
         return r * (self.tile_px[0] + self.gap), c * (self.tile_px[1] + self.gap)
 
 
-def make_layout(
-    dataset_kind: str,
-    config: OpticalConfig,
-    *,
-    padding: int = 1,
-    gap_px: int = MIN_CONTENT_GAP,
-    grid: tuple[int, int] | None = None,
-    frame: tuple[int, int] | None = None,
-) -> TileLayout:
-    """Pack the largest grid of tiles for ``dataset_kind`` into the frame.
-
-    ``padding=1`` gives content-sized tiles separated by ``gap_px`` (the
-    experiment geometry); ``padding=2`` folds the separation into the cell
-    (the throughput-accounting geometry, 168x168 cells for 28x28 sources).
-    Layouts whose content separation falls below the 30 px crosstalk floor
-    on both axes are rejected.
-    """
-    if dataset_kind not in DATASET_GEOMETRY:
-        raise ValueError(f"unknown dataset geometry {dataset_kind!r}")
-    if padding < 1:
-        raise ValueError("padding must be >= 1")
-    rows, cols = DATASET_GEOMETRY[dataset_kind]
-    s = config.superpixel
-    content = (rows * s, cols * s * config.horizontal_expand)
-    tile_px = (rows * s * padding, cols * s * max(padding, config.horizontal_expand))
-    if frame is None:
-        frame = (config.dmd_rows, config.dmd_cols)
-    sep_rows = tile_px[0] - content[0] + gap_px
-    sep_cols = tile_px[1] - content[1] + gap_px
-    if max(sep_rows, sep_cols) < MIN_CONTENT_GAP:
-        raise ValueError(
-            f"content separation {min(sep_rows, sep_cols)} px below the "
-            f"{MIN_CONTENT_GAP} px crosstalk floor; widen gap_px or padding"
-        )
-    if grid is None:
-        grid = (
-            (frame[0] + gap_px) // (tile_px[0] + gap_px),
-            (frame[1] + gap_px) // (tile_px[1] + gap_px),
-        )
-    if grid[0] < 1 or grid[1] < 1:
-        raise ValueError(f"tile {tile_px} too large for frame {frame}")
-    return TileLayout(grid_rows=grid[0], grid_cols=grid[1], gap=gap_px, tile_px=tile_px, frame=frame)
-
-
-def tile(
-    images: Sequence[np.ndarray],
-    layout: TileLayout,
-    config: OpticalConfig | None = None,
-) -> np.ndarray:
-    """Place binary images at their cell origins on a zeroed frame.
-
-    When ``config`` is given each image is pretransformed
-    (superpixel/stretch) first; otherwise images are placed as-is.
-    """
+def tile(images: Sequence[np.ndarray], layout: TileLayout) -> np.ndarray:
+    """Place binary images at their cell origins on a zeroed frame."""
     if len(images) > layout.capacity:
         raise ValueError(f"{len(images)} images exceed layout capacity {layout.capacity}")
     frame = np.zeros(layout.frame, dtype=np.uint8)
     for i, img in enumerate(images):
-        if config is not None:
-            img = geometry_pretransform(img, config)
         img = np.asarray(img)
         if img.shape[0] > layout.tile_px[0] or img.shape[1] > layout.tile_px[1]:
             raise ValueError(f"image {img.shape} larger than tile {layout.tile_px}")
@@ -358,23 +288,14 @@ def tile(
     return frame
 
 
-def untile(
-    frame: np.ndarray,
-    layout: TileLayout,
-    count: int | None = None,
-    content_shape: tuple[int, int] | None = None,
-) -> list[np.ndarray]:
-    """Extract the per-cell windows of a frame-sized grid, row-major."""
+def untile(frame: np.ndarray, layout: TileLayout) -> list[np.ndarray]:
+    """Extract every cell window of a frame-sized grid, row-major."""
     frame = np.asarray(frame)
     if frame.shape[-2:] != layout.frame:
         raise ValueError(f"frame {frame.shape} does not match layout frame {layout.frame}")
-    if count is None:
-        count = layout.capacity
-    if count > layout.capacity:
-        raise ValueError(f"count {count} exceeds layout capacity {layout.capacity}")
-    h, w = content_shape if content_shape is not None else layout.tile_px
+    h, w = layout.tile_px
     out = []
-    for i in range(count):
+    for i in range(layout.capacity):
         r, c = layout.cell_origin(i)
         out.append(frame[..., r : r + h, c : c + w].copy())
     return out

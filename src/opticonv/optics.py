@@ -14,9 +14,8 @@ Transform convention: centered, unitary. ``cft2``/``icft2`` sandwich the FFT
 between fftshifts and use orthonormal scaling, so a full round trip is exact
 and total intensity is conserved. The second lens of a real 4f system images
 with a coordinate inversion; here the inverse transform is used for the second
-lens by default, which is the same field up to that inversion, so an all-pass
-kernel reproduces the input in its original orientation. Pass
-``flip_normalize=False`` to keep the physical inversion.
+lens, which is the same field up to that inversion, so an all-pass kernel
+reproduces the input in its original orientation.
 
 This module is the physics reference: the test oracles, the ``simulate``
 command and the benchmark's probes run it, one plane at a time. Training,
@@ -42,9 +41,7 @@ __all__ = [
     "cft2",
     "icft2",
     "fourier_plane_px",
-    "diffraction_angle",
     "order_offset_px",
-    "geometry_pretransform",
     "forward_4f",
     "multi_kernel_forward",
     "ideal_aperture",
@@ -58,33 +55,20 @@ class FrameOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class OpticalConfig:
-    """Physical constants of the optical bench.
-
-    Lengths are in meters. ``superpixel`` is the number of micromirrors per
-    logical image pixel along each axis; ``horizontal_expand`` is the integer
-    horizontal stretch that compensates the tilted-mirror geometry of the
-    reference bench (57 deg incidence, 12 deg mirror tilt: 2 ~ 1/cos 57 deg
-    rounded to an integer for binary modulation). The angles enter the model
-    only through that stretch.
-    """
+    """Physical constants of the optical bench. Lengths are in meters;
+    ``dmd_cols`` is the width of the kernel-side micromirror array, which
+    bounds the diffraction orders that fit on it."""
 
     wavelength: float = 450e-9
     focal_length: float = 100e-3
     dmd_pitch: float = 7.6e-6
     dmd_cols: int = 1920
-    dmd_rows: int = 1080
-    superpixel: int = 3
-    horizontal_expand: int = 2
 
     def __post_init__(self) -> None:
         if self.wavelength <= 0 or self.focal_length <= 0 or self.dmd_pitch <= 0:
             raise ValueError("wavelength, focal_length and dmd_pitch must be positive")
-        if self.dmd_cols < 1 or self.dmd_rows < 1:
-            raise ValueError("micromirror grid must be at least 1x1")
-        if int(self.superpixel) != self.superpixel or self.superpixel < 1:
-            raise ValueError("superpixel must be a positive integer")
-        if int(self.horizontal_expand) != self.horizontal_expand or self.horizontal_expand < 1:
-            raise ValueError("horizontal_expand must be a positive integer")
+        if self.dmd_cols < 1:
+            raise ValueError("micromirror array must be at least 1 column wide")
 
 
 @dataclass(frozen=True)
@@ -214,11 +198,6 @@ def fourier_plane_px(config: OpticalConfig) -> int:
     return int(round(config.wavelength * config.focal_length / config.dmd_pitch**2))
 
 
-def diffraction_angle(config: OpticalConfig) -> float:
-    """First-order grating angle lambda/pitch of the micromirror array (rad)."""
-    return config.wavelength / config.dmd_pitch
-
-
 def order_offset_px(order: int, config: OpticalConfig) -> int:
     """Column offset of diffraction order ``order`` in the Fourier plane (px).
 
@@ -238,26 +217,6 @@ def order_offset_px(order: int, config: OpticalConfig) -> int:
     return offset
 
 
-def geometry_pretransform(image: np.ndarray, config: OpticalConfig) -> np.ndarray:
-    """Map one logical binary image to its micromirror pattern.
-
-    Every image pixel becomes a ``superpixel x superpixel`` block and the
-    result is stretched horizontally by ``horizontal_expand`` via integer
-    pixel replication (the tilt compensation).
-    """
-    image = np.asarray(image)
-    if not np.isin(image, (0, 1)).all():
-        raise ValueError("geometry pretransform expects a binary image")
-    s = config.superpixel
-    out = np.kron(image, np.ones((s, s * config.horizontal_expand), dtype=image.dtype))
-    if out.shape[0] > config.dmd_rows or out.shape[1] > config.dmd_cols:
-        raise FrameOverflowError(
-            f"frame overflow: pretransformed image {out.shape} exceeds "
-            f"{config.dmd_rows}x{config.dmd_cols} mirrors"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # forward models
 
@@ -275,20 +234,17 @@ def forward_4f(
     input_plane: FieldPlane,
     kernel: np.ndarray,
     config: OpticalConfig,
-    flip_normalize: bool = True,
 ) -> np.ndarray:
     """One pass through the 4f path, returning camera-plane intensity.
 
     field2 = FT(input); field3 = field2 * kernel (kernel given in the
     centered Fourier domain); output field = second lens transform of field3,
-    with the 4f coordinate inversion normalized away by default. Returns
-    |field|^2 per pixel in double precision.
+    with the 4f coordinate inversion normalized away. Returns |field|^2 per
+    pixel in double precision.
     """
     kernel = _check_kernel(kernel, input_plane.amplitude.shape)
     filtered = input_plane.spectrum() * kernel
-    second = icft2 if flip_normalize else cft2
-    out_field = second(filtered)
-    intensity = np.abs(out_field) ** 2
+    intensity = np.abs(icft2(filtered)) ** 2
     if not np.all(np.isfinite(intensity)):
         raise FloatingPointError("numerical failure: non-finite intensity in 4f path")
     return intensity
@@ -318,27 +274,25 @@ def multi_kernel_forward(
     kernels: Sequence[np.ndarray],
     config: OpticalConfig,
     aperture: ApertureMask | None,
-    orders: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
     """Simultaneous convolution with one kernel per diffraction order.
 
     The input spectrum repeats at each grating order of the input mirror
-    array; kernel ``j`` multiplies the replica in its window and its output
-    lands in a distinct camera window because the replica arrives at a
-    distinct angle. Re-diffraction at the kernel mirror array sends
-    copies of every window toward every other camera window; with the
-    aperture in place those parasitic paths are blocked and each output
-    equals the single-kernel result, without it they add coherently and the
-    outputs carry cross terms. No power split between orders is published
-    for this bench, so every order carries unit weight.
+    array; kernel ``j`` multiplies the replica in the window of order
+    ``DEFAULT_ORDER_SEQUENCE[j]`` (0, 1, -1, ...), and its output lands in a
+    distinct camera window because the replica arrives at a distinct angle.
+    Re-diffraction at the kernel mirror array sends copies of every window
+    toward every other camera window; with the aperture in place those
+    parasitic paths are blocked and each output equals the single-kernel
+    result, without it they add coherently and the outputs carry cross terms.
+    No power split between orders is published for this bench, so every
+    order carries unit weight.
 
     Parameters
     ----------
     aperture : ApertureMask or None
         ``None`` removes the aperture (parasitic orders reach the camera).
         A mask must declare exactly one open region per kernel.
-    orders : sequence of int, optional
-        Diffraction order assigned to each kernel; defaults to 0, 1, -1, ...
 
     Returns
     -------
@@ -348,15 +302,9 @@ def multi_kernel_forward(
     k = len(kernels)
     if k == 0:
         raise ValueError("at least one kernel required")
-    if orders is None:
-        if k > len(DEFAULT_ORDER_SEQUENCE):
-            raise ValueError(f"at most {len(DEFAULT_ORDER_SEQUENCE)} kernels without explicit orders")
-        orders = DEFAULT_ORDER_SEQUENCE[:k]
-    if len(orders) != k:
-        raise ValueError("need one diffraction order per kernel")
-    if len(set(orders)) != k:
-        raise ValueError("kernel windows overlap: orders must be distinct")
-    for m in orders:
+    if k > len(DEFAULT_ORDER_SEQUENCE):
+        raise ValueError(f"at most {len(DEFAULT_ORDER_SEQUENCE)} kernels")
+    for m in DEFAULT_ORDER_SEQUENCE[:k]:
         order_offset_px(m, config)  # raises if the window falls off the array
 
     kernels = [_check_kernel(kk, shape) for kk in kernels]

@@ -380,5 +380,6 @@ def features_tiled_oracle(params, bits: np.ndarray, layout, config) -> np.ndarra
     for s in range(0, len(bits), layout.capacity):
         group = bits[s : s + layout.capacity]
         maps = _optics_maps(tile(list(group), layout), params, config)
-        cells += untile(maps, layout, count=len(group), content_shape=params.image_hw)
+        h, w = params.image_hw
+        cells += [cell[..., :h, :w] for cell in untile(maps, layout)[: len(group)]]
     return _unit_peak(np.stack(cells))

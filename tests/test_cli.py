@@ -103,8 +103,8 @@ class TestConfig:
         argv = {"quantize": ["--dataset", "mnist"], "train": ["--dataset", "mnist"],
                 "finetune": ["stage1.ckpt", "--dataset", "mnist"], "eval": ["stage2.ckpt", "--dataset", "mnist"],
                 "simulate": ["img.npy"], "perf": []}
-        want = {"quantize": "88b73ba3dc64", "train": "7ae9b8a452b1", "finetune": "0e79118e8a19",
-                "eval": "e42c3d8ced1d", "simulate": "269f567a0c1e", "perf": "6e0ae9470066"}
+        want = {"quantize": "bf4a46a5e025", "train": "40d9736aa6fa", "finetune": "d287523a2336",
+                "eval": "eee8415506d4", "simulate": "cf1c9dfb3e36", "perf": "c6ea79a038f3"}
         parser = cli.build_parser()
         got = {cmd: cli.config_digest(cli.RunConfig(), parser.parse_args([cmd, *rest])) for cmd, rest in argv.items()}
         assert got == want
@@ -117,11 +117,14 @@ class TestConfig:
         assert (cfg.noise.sigma, cfg.noise.dark, cfg.noise.bin_factor, cfg.noise.seed) == (
             0.1, 1e-4, 1, 1)
         args = cli.build_parser().parse_args(["eval", "stage2.ckpt", "--dataset", "mnist"])
-        assert cli.config_digest(cfg, args) == "53acba18523d"
+        assert cli.config_digest(cfg, args) == "6a6356c6e5ab"
 
     @pytest.mark.parametrize("doc", [{"layout": {"gap_px": 30}},
-                                     {"optical": {"incidence_angle": 57.0}}],
-                             ids=["layout", "incidence_angle"])
+                                     {"optical": {"incidence_angle": 57.0}},
+                                     {"optical": {"superpixel": 3}},
+                                     {"optical": {"horizontal_expand": 2}},
+                                     {"optical": {"dmd_rows": 1080}}],
+                             ids=["layout", "incidence_angle", "superpixel", "horizontal_expand", "dmd_rows"])
     def test_removed_keys_rejected(self, tmp_path, doc):
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
@@ -181,6 +184,7 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("argv, code", [
         (["simulate", "IMG", "--kernels", 8], cli.EXIT_USAGE),
+        (["simulate", "IMG", "--kernels", 4], cli.EXIT_USAGE),
         (["simulate", "IMG", "--checkpoint", "CKPT", "--kernels", 5], cli.EXIT_USAGE),
         (["train", "--dataset", "mnist"], cli.EXIT_DATA),
         (["quantize", "--dataset", "mnist"], cli.EXIT_DATA),
@@ -208,8 +212,8 @@ class TestFailureContract:
         (["--config", "MNIST-HUGE", "train", "--dataset", "mnist"], cli.EXIT_DATA),
         (["--config", "NOT-UTF8", "perf"], cli.EXIT_DATA),
         (["perf", "--custom", 1, 1, 1, 1, "1e308"], cli.EXIT_USAGE),
-    ], ids=["simulate-kernels-above-7", "simulate-kernels-above-bank", "train-no-data",
-            "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
+    ], ids=["simulate-kernels-above-7", "simulate-order-2-off-the-array", "simulate-kernels-above-bank",
+            "train-no-data", "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
             "finetune-classes", "quantize-empty", "simulate-directory", "eval-directory",
             "config-directory", "eval-malformed-checkpoint", "quickdraw-empty-npy",
@@ -305,11 +309,14 @@ class TestFailureContract:
         assert sorted(tmp_path.iterdir()) == before and (tmp_path / "afile").read_text() == "kept\n"
 
     def test_too_many_simulated_kernels(self, small_config, tmp_path, capsys):
+        # kernels take orders 0, 1, -1, 2, ...; the fourth, on order 2, is
+        # centred 1558 px out, past the 960 px the 1920-px array reaches
         img_path = tmp_path / "digit.npy"
         np.save(img_path, np.ones((28, 28), np.uint8))
-        code = run(["--config", small_config, "--out-dir", tmp_path / "runs",
-                    "simulate", img_path, "--kernels", 8])
-        assert_one_line_usage_error(code, capsys, "at most 7 kernels")
+        for kernels, needle in ((8, "at most 7 kernels"), (4, "order 2")):
+            code = run(["--config", small_config, "--out-dir", tmp_path / "runs",
+                        "simulate", img_path, "--kernels", kernels])
+            assert_one_line_usage_error(code, capsys, needle)
 
     @pytest.mark.parametrize("command", [["finetune"], ["eval", "--mode", "optical"]])
     def test_binned_optical_capture(self, small_config, tmp_path, capsys, command):
@@ -639,6 +646,7 @@ class TestSimulateCommand:
             cli._load_sim_image(path)
 
     def test_all_pass_identity(self, small_config, tmp_path):
+        # three all-pass kernels, on orders 0, 1 and -1, each give the image back
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, (28, 28)).astype(np.uint8)
         img_path = tmp_path / "digit.npy"
@@ -648,14 +656,16 @@ class TestSimulateCommand:
         cfg["noise"]["sigma"] = 0.0
         small = tmp_path / "clean.json"
         small.write_text(json.dumps(cfg))
-        assert run(["--config", small, "--out-dir", out_dir, "simulate", img_path]) == 0
+        assert run(["--config", small, "--out-dir", out_dir, "simulate", img_path, "--kernels", 3]) == 0
         run_dir = next(out_dir.glob("simulate-*"))
         assert (run_dir / "input.pgm").exists()
         assert (run_dir / "fourier_mag.f64").exists()
-        out, _ = read_raw(run_dir / "kernel0.f64")
+        assert sorted(p.name for p in run_dir.glob("kernel*.f64")) == [f"kernel{k}.f64" for k in range(3)]
         g = cfg["train"]["grid"]
         r0, c0 = (g - 28) // 2, (g - 28) // 2
-        assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
+        for k in range(3):
+            out, _ = read_raw(run_dir / f"kernel{k}.f64")
+            assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
 
     def test_checkpoint_kernels_are_the_first_of_the_bank(self, small_config, tmp_path):
         # with the noise off, --kernels 2 projects the checkpoint's first two

@@ -19,7 +19,6 @@ from opticonv.datapipe import (
     load_cifar10,
     load_mnist,
     load_quickdraw,
-    make_layout,
     quantize_gray,
     quantize_rgb,
     read_pgm,
@@ -31,7 +30,6 @@ from opticonv.datapipe import (
     write_pgm,
     write_raw,
 )
-from opticonv.optics import OpticalConfig
 
 import synthcifar
 import synthmnist
@@ -186,35 +184,6 @@ class TestSsim:
 # layout and tiling
 
 
-class TestMakeLayout:
-    def test_paper_accounting_mode(self, paper_config):
-        layout = make_layout("mnist", paper_config, padding=2, gap_px=0)
-        assert layout.tile_px == (168, 168)
-        assert (layout.grid_rows, layout.grid_cols) == (6, 11)
-
-    def test_experiment_mode_capacity(self, paper_config):
-        layout = make_layout("mnist", paper_config)  # content tiles + 30 px gap
-        assert layout.gap == 30
-        assert layout.capacity >= 49
-
-    def test_cifar_experiment_fits_5x5(self, paper_config):
-        layout = make_layout("cifar10", paper_config, grid=(5, 5))
-        assert layout.capacity == 25
-
-    def test_too_small_separation_rejected(self, paper_config):
-        with pytest.raises(ValueError, match="separation"):
-            make_layout("mnist", paper_config, padding=1, gap_px=4)
-
-    def test_oversized_tile_rejected(self):
-        tiny = OpticalConfig(dmd_cols=100, dmd_rows=100)
-        with pytest.raises(ValueError):
-            make_layout("mnist", tiny)
-
-    def test_unknown_kind(self, paper_config):
-        with pytest.raises(ValueError):
-            make_layout("imagenet", paper_config)
-
-
 class TestTileUntile:
     def layout(self):
         return TileLayout(grid_rows=3, grid_cols=3, gap=2, tile_px=(10, 10), frame=(34, 34))
@@ -257,13 +226,6 @@ class TestTileUntile:
         layout = self.layout()
         with pytest.raises(ValueError, match="frame"):
             untile(np.zeros((30, 30)), layout)
-
-    def test_pretransform_path(self, paper_config):
-        layout = make_layout("mnist", paper_config, grid=(2, 2))
-        imgs = [np.ones((28, 28), np.uint8)] * 2
-        frame = tile(imgs, layout, config=paper_config)
-        assert frame.shape == (paper_config.dmd_rows, paper_config.dmd_cols)
-        assert frame[:84, :168].all()
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +383,11 @@ class TestLoaders:
         ("stack", "x.p4", lambda p4: p4[: len(p4) // 2], "holds 1 bitmaps, x.json lists n_planes 2"),
         ("raw", "x.f64", lambda f64: f64[:8], "8 bytes"),
         ("raw", "x.f64.json", b'{"width": -1, "height": -1, "pitch_m": 1e-6}', "width and height >= 0"),
+        ("stack", "x.json", lambda m: m.replace(b'"thresholds"', b'"levels"'), "not a manifest of 2 bit planes"),
         ("stack", "x.p4", lambda p4: p4.replace(b"P4\n", b"P4\n# a comment\n"), None),
     ], ids=["magic", "zero-width", "above-maxval", "manifest-not-json", "p4-cut-in-header",
-            "p4-cut-between-planes", "raw-cut", "sidecar-negative-size", "p4-comment-reads"])
+            "p4-cut-between-planes", "raw-cut", "sidecar-negative-size", "manifest-without-thresholds",
+            "p4-comment-reads"])
     def test_read_rejects_malformed_files(self, tmp_path, kind, name, raw, needle):
         # each reader's files start valid (a 2-plane 6x8 stack, a 4x4 raw dump);
         # ``name`` is then rewritten to ``raw``, or to ``raw`` of its bytes. A
