@@ -10,7 +10,8 @@ Rerunning an invocation reproduces its files byte for byte (timestamps
 appear only in log lines).
 
 Exit codes: 0 success, 1 usage error (including a flag or config value the
-library rejects, and an --out-dir that is or lies under a file, which is
+library rejects, a config value that asks for more memory than the machine
+can allocate, and an --out-dir that is or lies under a file, which is
 checked before any work), 2 data/format error (any input file, the config
 document included, that is missing or will not decode), 3 numerical failure.
 Each failure prints one line on stderr. A command makes its run directory
@@ -400,22 +401,22 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     else:
         bank = np.ones((args.kernels, g, g))
     kernels = list(bank)
-    aperture = ideal_aperture(DEFAULT_ORDER_SEQUENCE[: len(kernels)], (g, g), cfg.optical)
+    aperture = ideal_aperture(DEFAULT_ORDER_SEQUENCE[: len(kernels)])
     outputs = multi_kernel_forward(plane, kernels, cfg.optical, aperture)
     rng = np.random.default_rng(cfg.seed)
     outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]
 
     run_dir = _run_dir(args, cfg)
-    pitch = cfg.optical.dmd_pitch
+    # each grid as an 8-bit graymap to look at and as its exact float64 values
     datapipe.write_pgm(frame, run_dir / "input.pgm")
-    datapipe.write_raw(frame.astype(np.float64), run_dir / "input.f64", pitch)
+    np.save(run_dir / "input.npy", frame.astype(np.float64))
     spectrum_mag = np.abs(plane.spectrum())
     datapipe.write_pgm(spectrum_mag, run_dir / "fourier_mag.pgm")
-    datapipe.write_raw(spectrum_mag, run_dir / "fourier_mag.f64", pitch)
+    np.save(run_dir / "fourier_mag.npy", spectrum_mag)
     n_windows = 0
     for kidx, out in enumerate(outputs):
         datapipe.write_pgm(out, run_dir / f"kernel{kidx}.pgm")
-        datapipe.write_raw(out, run_dir / f"kernel{kidx}.f64", pitch)
+        np.save(run_dir / f"kernel{kidx}.npy", out)
         if args.windows:
             for i, win in enumerate(datapipe.untile(out[r0 : r0 + h, c0 : c0 + w], layout)):
                 datapipe.write_pgm(win, run_dir / f"kernel{kidx}_win{i // cols}_{i % cols}.pgm")
@@ -564,6 +565,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:  # a flag or config value the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size in the config that no allocation can hold
+        print(f"usage error: the config asks for more memory than can be allocated: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -3,11 +3,11 @@ tiling, and the package's file formats.
 
 Each input format has one reader: ``_read_idx`` for MNIST's IDX files (plain
 or gzipped), ``_read_cifar_batch`` for CIFAR-10's binary batches,
-``read_npy`` for ``.npy`` arrays (Quickdraw's bitmap exports and simulation
-inputs), ``import_stack`` for P4 bit-plane stacks, ``read_pgm`` for P5
-graymaps, ``read_raw`` for raw float64 grids and ``read_json`` for JSON
-documents (run configs, stack manifests and raw-grid sidecars). A file a
-reader cannot decode is a ``DataFormatError`` naming it.
+``read_npy`` for ``.npy`` arrays (Quickdraw's bitmap exports and the
+simulation's inputs and float64 dumps), ``import_stack`` for P4 bit-plane
+stacks, ``read_pgm`` for P5 graymaps and ``read_json`` for JSON documents
+(run configs and stack manifests). A file a reader cannot decode is a
+``DataFormatError`` naming it.
 
 The micromirror array only displays binary patterns, so 8-bit sources are
 decomposed into stacks of binary planes through a threshold ladder. Grayscale
@@ -53,8 +53,6 @@ __all__ = [
     "import_stack",
     "write_pgm",
     "read_pgm",
-    "write_raw",
-    "read_raw",
 ]
 
 FULL_SCALE = 255
@@ -71,7 +69,6 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     train_images: np.ndarray
     train_labels: np.ndarray
     test_images: np.ndarray
@@ -347,7 +344,7 @@ def load_mnist(path: str | Path) -> Dataset:
         if len(images) != len(labels):
             raise DataFormatError("image/label counts differ")
         splits += [images, labels]
-    return Dataset("mnist", *splits, tuple(str(d) for d in range(10)))
+    return Dataset(*splits, tuple(str(d) for d in range(10)))
 
 
 def read_npy(path: str | Path) -> np.ndarray:
@@ -397,7 +394,7 @@ def load_cifar10(path: str | Path) -> Dataset:
     root = Path(path)
     train = [_read_cifar_batch(root / f"data_batch_{i}.bin") for i in range(1, 6)]
     test_x, test_y = _read_cifar_batch(root / "test_batch.bin")
-    return Dataset("cifar10", *(np.concatenate(a) for a in zip(*train)), test_x, test_y, CIFAR10_CLASSES)
+    return Dataset(*(np.concatenate(a) for a in zip(*train)), test_x, test_y, CIFAR10_CLASSES)
 
 
 def load_quickdraw(path: str | Path, test_fraction: float = 0.2) -> Dataset:
@@ -425,17 +422,12 @@ def load_quickdraw(path: str | Path, test_fraction: float = 0.2) -> Dataset:
         test_x.append(arr[split:])
         test_y.append(np.full(n_test, label, dtype=np.int64))
         names.append(f.stem)
-    return Dataset(
-        "quickdraw",
-        np.concatenate(train_x), np.concatenate(train_y),
-        np.concatenate(test_x), np.concatenate(test_y),
-        tuple(names),
-    )
+    return Dataset(*(np.concatenate(a) for a in (train_x, train_y, test_x, test_y)), tuple(names))
 
 
 # ---------------------------------------------------------------------------
-# file formats: JSON documents, P4 bit-plane stacks (what the mirror shows), P5
-# graymaps (what the camera sees) and raw float64 grids (exact values)
+# file formats: JSON documents, P4 bit-plane stacks (what the mirror shows) and
+# P5 graymaps (what the camera sees); exact float64 grids are .npy arrays
 
 
 def read_json(path: str | Path):
@@ -537,33 +529,3 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if img.max() > maxval:
         raise DataFormatError(f"{path}: sample above maxval {maxval}")
     return img
-
-
-def write_raw(grid: np.ndarray, path: str | Path, pitch_m: float) -> tuple[Path, Path]:
-    """Write ``<path>`` as flat little-endian float64 plus ``<path>.json``."""
-    grid = np.ascontiguousarray(grid, dtype="<f8")
-    if grid.ndim != 2:
-        raise ValueError("raw export expects a 2D grid")
-    path = Path(path)
-    path.write_bytes(grid.tobytes())
-    sidecar = path.with_suffix(path.suffix + ".json")
-    header = {"width": int(grid.shape[1]), "height": int(grid.shape[0]), "pitch_m": float(pitch_m)}
-    sidecar.write_text(json.dumps(header) + "\n")
-    return path, sidecar
-
-
-def read_raw(path: str | Path) -> tuple[np.ndarray, float]:
-    """Read a raw float64 grid and its pitch back, bit-exact. The sidecar
-    must give a non-negative integer width and height and a finite pitch,
-    and the grid file must hold exactly that many samples."""
-    path = Path(path)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    header = read_json(sidecar)
-    w, h, pitch = (header.get(k) if isinstance(header, dict) else None for k in ("width", "height", "pitch_m"))
-    if not (type(w) is type(h) is int and min(w, h) >= 0 and type(pitch) in (int, float) and math.isfinite(pitch)):
-        raise DataFormatError(f"{sidecar}: want integer width and height >= 0 and a finite pitch_m, "
-                              f"got {w!r}, {h!r} and {pitch!r}")
-    raw = path.read_bytes()
-    if len(raw) != 8 * w * h:
-        raise DataFormatError(f"{path}: {len(raw)} bytes, not the {8 * w * h} of a {h}x{w} float64 grid")
-    return np.frombuffer(raw, "<f8").reshape(h, w).copy(), float(pitch)

@@ -118,26 +118,17 @@ class FieldPlane:
 
 @dataclass(frozen=True)
 class ApertureMask:
-    """Aperture with rectangular open regions, one per output channel.
+    """Aperture that opens the camera window of each diffraction order in
+    ``orders`` and blocks every other window; an order given twice is
+    rejected."""
 
-    ``open_regions`` are half-open pixel rectangles (r0, c0, r1, c1) on the
-    camera-side frame; regions may not overlap.
-    """
+    orders: tuple[int, ...]
 
-    open_regions: tuple[tuple[int, int, int, int], ...]
-
-    @classmethod
-    def from_regions(
-        cls, frame_shape: tuple[int, int], regions: Sequence[tuple[int, int, int, int]]
-    ) -> "ApertureMask":
-        cover = np.zeros(frame_shape, dtype=np.uint8)
-        for r0, c0, r1, c1 in regions:
-            if not (0 <= r0 < r1 <= frame_shape[0] and 0 <= c0 < c1 <= frame_shape[1]):
-                raise ValueError(f"region {(r0, c0, r1, c1)} outside frame {frame_shape}")
-            cover[r0:r1, c0:c1] += 1
-        if (cover > 1).any():
-            raise ValueError("crosstalk not blocked: aperture regions overlap")
-        return cls(open_regions=tuple(tuple(r) for r in regions))
+    def __post_init__(self) -> None:
+        orders = tuple(self.orders)
+        if len(set(orders)) != len(orders):
+            raise ValueError(f"aperture orders {orders} repeat an order")
+        object.__setattr__(self, "orders", orders)
 
 
 @dataclass(frozen=True)
@@ -253,20 +244,11 @@ def forward_4f(
 DEFAULT_ORDER_SEQUENCE = (0, 1, -1, 2, -2, 3, -3)
 
 
-def ideal_aperture(
-    orders: Sequence[int], grid_shape: tuple[int, int], config: OpticalConfig
-) -> ApertureMask:
-    """Aperture passing exactly one camera window per diffraction order.
-
-    The camera-side frame is a horizontal strip of windows, one Fourier window
-    wide each, laid out at the order offsets. Windows are non-overlapping by
-    construction because order centers are a full window apart.
-    """
-    h, w = grid_shape
-    lo = min(orders)
-    regions = [(0, (m - lo) * w, h, (m - lo + 1) * w) for m in orders]
-    frame = (h, (max(orders) - lo + 1) * w)
-    return ApertureMask.from_regions(frame, regions)
+def ideal_aperture(orders: Sequence[int]) -> ApertureMask:
+    """Aperture passing exactly one camera window per diffraction order in
+    ``orders``. The windows cannot overlap: order centers lie a full
+    Fourier window apart."""
+    return ApertureMask(tuple(orders))
 
 
 def multi_kernel_forward(
@@ -292,7 +274,8 @@ def multi_kernel_forward(
     ----------
     aperture : ApertureMask or None
         ``None`` removes the aperture (parasitic orders reach the camera).
-        A mask must declare exactly one open region per kernel.
+        A mask must open the windows of exactly the orders the kernels sit
+        on, ``DEFAULT_ORDER_SEQUENCE[:len(kernels)]``.
 
     Returns
     -------
@@ -308,14 +291,14 @@ def multi_kernel_forward(
         order_offset_px(m, config)  # raises if the window falls off the array
 
     kernels = [_check_kernel(kk, shape) for kk in kernels]
-    if aperture is not None and len(aperture.open_regions) != k:
+    if aperture is not None and set(aperture.orders) != set(DEFAULT_ORDER_SEQUENCE[:k]):
         raise ValueError(
-            f"aperture declares {len(aperture.open_regions)} regions for {k} kernels"
+            f"aperture opens orders {aperture.orders}, the {k} kernels sit on {DEFAULT_ORDER_SEQUENCE[:k]}"
         )
 
     # Every filtered replica through the second lens in one batched transform.
     fields = icft2(input_plane.spectrum() * np.stack(kernels))
-    # With the aperture, open region j passes only window j's bundle, so each
+    # With the aperture, open window j passes only its own bundle, so each
     # channel reduces exactly to the single-kernel pass. Without it the
     # re-diffraction replica of every window lands on every camera window;
     # at unit weights each window sees the same coherent sum.

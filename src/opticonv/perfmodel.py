@@ -96,7 +96,6 @@ class PerfScenario:
 
 @dataclass(frozen=True)
 class GenerationPreset:
-    name: str
     scenario: PerfScenario
     pipeline_hz: Mapping[str, float]
 
@@ -141,9 +140,7 @@ _PRESETS = {
 }
 
 
-def generation_preset(
-    name: str, high_res: bool = False, power_w: float = DEFAULT_POWER_W
-) -> GenerationPreset:
+def generation_preset(name: str, high_res: bool = False) -> GenerationPreset:
     """Documented operating points of the four development generations.
 
     Parallelism steps 1x1 -> 49x1 -> 49x2 -> 64x24 with frame rates from
@@ -163,7 +160,6 @@ def generation_preset(
         input_parallelism=i,
         kernel_parallelism=k,
         frame_rate_hz=f,
-        power_w=power_w,
         label=name,
     )
     # Interconnect first: when stage rates tie, the upstream-most minimal
@@ -173,7 +169,7 @@ def generation_preset(
         "camera": CAMERA_MAX_HZ if name == "Gen1.3" else min(CAMERA_SOFTWARE_HZ, CAMERA_MAX_HZ),
         "dmd": DMD_MAX_HZ,
     }
-    return GenerationPreset(name=name, scenario=scenario, pipeline_hz=pipeline)
+    return GenerationPreset(scenario=scenario, pipeline_hz=pipeline)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ class LatencyReport:
     bottleneck: str
 
 
-def latency(s: PerfScenario, pipeline_hz: Mapping[str, float]) -> LatencyReport:
+def latency(pipeline_hz: Mapping[str, float]) -> LatencyReport:
     """End-to-end latency (sum of stage latencies), pipeline throughput
     (slowest stage rate), and the bottleneck stage's name. Ties resolve to
     the first minimal stage in table order."""
@@ -214,13 +210,13 @@ def sweep_report(
         raise ValueError("at least one preset required")
     rows = []
     for preset in presets:
-        lat = latency(preset.scenario, preset.pipeline_hz)
+        s = preset.scenario
+        lat = latency(preset.pipeline_hz)
         for mode in modes:
             if mode not in _MODES:
                 raise ValueError(f"unknown mode {mode!r}")
-            s = preset.scenario
             row = {
-                "generation": preset.name,
+                "generation": s.label,
                 "mode": mode,
                 "M": s.image_rows,
                 "N": s.image_cols,
@@ -237,7 +233,7 @@ def sweep_report(
             # a figure that overflows would reach perf.json as a bare Infinity, not JSON
             bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
             if bad:
-                raise ValueError(f"scenario {preset.name!r} ({mode}): {', '.join(bad)} not finite")
+                raise ValueError(f"scenario {s.label!r} ({mode}): {', '.join(bad)} not finite")
             rows.append(row)
     return rows
 
@@ -266,18 +262,16 @@ def write_report_json(rows: Sequence[dict], path: str | Path) -> Path:
 def custom_scenario(
     image_rows: int,
     image_cols: int,
-    kernel_rows: int = 3,
-    kernel_cols: int = 3,
     input_parallelism: int = 1,
     kernel_parallelism: int = 1,
     frame_rate_hz: float = 1.0,
-    power_w: float = DEFAULT_POWER_W,
     label: str = "custom",
 ) -> GenerationPreset:
-    """Wrap ad-hoc parameters as a preset so they can join a sweep."""
+    """Wrap ad-hoc parameters as a preset so they can join a sweep; the
+    kernel is 3x3 and the power ``DEFAULT_POWER_W``, as in the presets."""
     scenario = PerfScenario(
-        image_rows, image_cols, kernel_rows, kernel_cols,
-        input_parallelism, kernel_parallelism, frame_rate_hz, power_w, label,
+        image_rows, image_cols, input_parallelism=input_parallelism, kernel_parallelism=kernel_parallelism,
+        frame_rate_hz=frame_rate_hz, label=label,
     )
     pipeline = {"dmd": DMD_MAX_HZ, "camera": CAMERA_SOFTWARE_HZ}
-    return GenerationPreset(name=label, scenario=scenario, pipeline_hz=pipeline)
+    return GenerationPreset(scenario=scenario, pipeline_hz=pipeline)

@@ -342,7 +342,7 @@ def _optics_maps(frame: np.ndarray, params, config) -> np.ndarray:
     maps = []
     for k0 in range(0, len(bank), 2):
         pair = list(bank[k0 : k0 + 2])
-        aperture = ideal_aperture(range(len(pair)), (g, g), config)
+        aperture = ideal_aperture(range(len(pair)))
         maps += multi_kernel_forward(plane, pair, config, aperture)
     return np.stack(maps)
 

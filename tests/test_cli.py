@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opticonv import cli, network
-from opticonv.datapipe import DataFormatError, read_raw, write_pgm
+from opticonv.datapipe import DataFormatError, read_npy, write_pgm
 from opticonv.optics import FieldPlane, OpticalConfig, ideal_aperture, multi_kernel_forward
 
 import synthquickdraw
@@ -212,6 +212,8 @@ class TestFailureContract:
         (["--config", "MNIST-HUGE", "train", "--dataset", "mnist"], cli.EXIT_DATA),
         (["--config", "NOT-UTF8", "perf"], cli.EXIT_DATA),
         (["perf", "--custom", 1, 1, 1, 1, "1e308"], cli.EXIT_USAGE),
+        (["--config", "HUGE-GRID", "simulate", "IMG"], cli.EXIT_USAGE),
+        (["--config", "HUGE-HIDDEN", "train", "--dataset", "mnist"], cli.EXIT_USAGE),
     ], ids=["simulate-kernels-above-7", "simulate-order-2-off-the-array", "simulate-kernels-above-bank",
             "train-no-data", "quantize-no-data", "finetune-no-checkpoint", "finetune-no-data", "eval-no-checkpoint",
             "eval-no-data", "eval-geometry", "finetune-geometry", "train-rgb", "eval-classes",
@@ -219,7 +221,7 @@ class TestFailureContract:
             "config-directory", "eval-malformed-checkpoint", "quickdraw-empty-npy",
             "quickdraw-not-numpy", "quickdraw-object-array", "quickdraw-float", "quickdraw-huge-header",
             "simulate-huge-header", "mnist-gzip-cut-at-half", "mnist-huge-header", "config-not-utf8",
-            "perf-overflow"])
+            "perf-overflow", "simulate-grid-past-memory", "train-hidden-past-memory"])
     def test_failed_command_leaves_no_run_directory(self, small_config, tmp_path, capsys, argv, code):
         # paths.mnist names a missing directory; CKPT is a 4-kernel, 28x28
         # checkpoint and CKPT3 its 3-class twin; paths.quickdraw holds the
@@ -232,7 +234,10 @@ class TestFailureContract:
         # header claims 10**12 bytes before a 100-byte body. MNIST-HALF-GZ
         # cuts a gzipped image file at half; MNIST-HUGE's header claims
         # (2**32 - 1) images of 65535 x 65535. A frame rate of 1e308 makes
-        # the custom perf scenario's OPS/W overflow to infinity.
+        # the custom perf scenario's OPS/W overflow to infinity. HUGE-GRID's
+        # 10**8-px grid and HUGE-HIDDEN's 10**12-unit hidden layer (on the
+        # synthetic MNIST) ask for petabytes, more than any address space
+        # holds, so the allocation fails at once.
         cfg = json.loads(small_config.read_text())
         mnist = cfg["paths"]["mnist"]
         cfg["paths"]["mnist"] = str(tmp_path / "no-mnist")
@@ -268,6 +273,10 @@ class TestFailureContract:
             names[case] = tmp_path / f"{case}.json"
             names[case].write_text(json.dumps({**cfg, "paths": {**cfg["paths"], key: str(tmp_path / case)}}))
         names["HUGE-NPY"] = tmp_path / "QD-HUGE" / "cat.npy"
+        for case, train in (("HUGE-GRID", {"grid": 10**8}), ("HUGE-HIDDEN", {"hidden": 10**12})):
+            names[case] = tmp_path / f"{case}.json"
+            names[case].write_text(json.dumps({**cfg, "paths": {**cfg["paths"], "mnist": mnist},
+                                               "train": {**cfg["train"], **train}}))
         out_dir = tmp_path / "runs"
         assert run(["--config", path, "--out-dir", out_dir, *(names.get(a, a) for a in argv)]) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
@@ -548,7 +557,7 @@ class TestTrainEvalPipeline:
         for seed in (0, 1):
             np.save(tmp_path / f"img{seed}.npy", np.random.default_rng(seed).integers(0, 2, (28, 28)))
             assert cli_run("simulate", tmp_path / f"img{seed}.npy") == 0
-        assert len(list(out_dir.glob("simulate-*/kernel0.f64"))) == 2
+        assert len(list(out_dir.glob("simulate-*/kernel0.npy"))) == 2
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_capture_and_eval_run_in_the_training_dtype(self, small_config, tmp_path, monkeypatch, dtype):
@@ -658,14 +667,19 @@ class TestSimulateCommand:
         small.write_text(json.dumps(cfg))
         assert run(["--config", small, "--out-dir", out_dir, "simulate", img_path, "--kernels", 3]) == 0
         run_dir = next(out_dir.glob("simulate-*"))
+        assert sorted(p.name for p in run_dir.glob("*.npy")) == ["fourier_mag.npy", "input.npy",
+                                                                  *(f"kernel{k}.npy" for k in range(3))]
         assert (run_dir / "input.pgm").exists()
-        assert (run_dir / "fourier_mag.f64").exists()
-        assert sorted(p.name for p in run_dir.glob("kernel*.f64")) == [f"kernel{k}.f64" for k in range(3)]
         g = cfg["train"]["grid"]
         r0, c0 = (g - 28) // 2, (g - 28) // 2
+        assert read_npy(run_dir / "input.npy")[r0 : r0 + 28, c0 : c0 + 28].tobytes() == bits.astype(float).tobytes()
         for k in range(3):
-            out, _ = read_raw(run_dir / f"kernel{k}.f64")
+            out = read_npy(run_dir / f"kernel{k}.npy")
+            assert out.dtype == np.float64 and out.shape == (g, g)
             assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
+        # a dump is itself a simulation input
+        assert run(["--config", small, "--out-dir", out_dir, "simulate", run_dir / "kernel0.npy"]) == 0
+        assert len(list(out_dir.glob("simulate-*"))) == 2
 
     def test_checkpoint_kernels_are_the_first_of_the_bank(self, small_config, tmp_path):
         # with the noise off, --kernels 2 projects the checkpoint's first two
@@ -686,12 +700,11 @@ class TestSimulateCommand:
         optical = OpticalConfig()
         want = multi_kernel_forward(FieldPlane.from_bits(frame, optical.dmd_pitch),
                                     list(network.binarized_kernels(network.load_checkpoint(ckpt)[0])[:2]),
-                                    optical, ideal_aperture([0, 1], (g, g), optical))
+                                    optical, ideal_aperture([0, 1]))
         run_dir = next(out_dir.glob("simulate-*"))
         for k in range(2):
-            got, _ = read_raw(run_dir / f"kernel{k}.f64")
-            assert got.tobytes() == want[k].tobytes()
-        assert not (run_dir / "kernel2.f64").exists()
+            assert read_npy(run_dir / f"kernel{k}.npy").tobytes() == want[k].tobytes()
+        assert not (run_dir / "kernel2.npy").exists()
 
     def test_binning_at_zero_sigma(self, small_config, tmp_path):
         # sigma 0 still runs the camera model: bin_factor 2 halves the maps
@@ -706,7 +719,7 @@ class TestSimulateCommand:
             path.write_text(json.dumps(cfg))
             out_dir = tmp_path / f"runs{b}"
             assert run(["--config", path, "--out-dir", out_dir, "simulate", img_path]) == 0
-            maps[b], _ = read_raw(next(out_dir.glob("simulate-*")) / "kernel0.f64")
+            maps[b] = read_npy(next(out_dir.glob("simulate-*")) / "kernel0.npy")
         g = cfg["train"]["grid"]
         assert maps[2].shape == (g // 2, g // 2)
         assert np.allclose(maps[2], maps[1].reshape(g // 2, 2, g // 2, 2).mean(axis=(1, 3)))
@@ -741,7 +754,7 @@ class TestSimulateCommand:
         g = json.loads(small_config.read_text())["train"]["grid"]
         r0, c0 = (g - 30) // 2, (g - 21) // 2
         for k in range(2):
-            out, _ = read_raw(run_dir / f"kernel{k}.f64")
+            out = read_npy(run_dir / f"kernel{k}.npy")
             for r in range(3):
                 for c in range(2):
                     crop = out[r0 + 10 * r : r0 + 10 * (r + 1), c0 + 10 * c : c0 + 10 * (c + 1)]

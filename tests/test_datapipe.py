@@ -1,5 +1,4 @@
 import gzip
-import json
 import struct
 
 import numpy as np
@@ -22,13 +21,11 @@ from opticonv.datapipe import (
     quantize_gray,
     quantize_rgb,
     read_pgm,
-    read_raw,
     recombine,
     ssim,
     tile,
     untile,
     write_pgm,
-    write_raw,
 )
 
 import synthcifar
@@ -334,7 +331,7 @@ class TestLoaders:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(["idx", "idx.gz", "npy", "p5", "p4-stack", "raw"]),
+    @given(kind=st.sampled_from(["idx", "idx.gz", "npy", "p5", "p4-stack"]),
            array=arrays(np.uint8, array_shapes(max_dims=3)),
            npy_dtype=st.sampled_from([np.uint8, ">i2", np.float64]), npy_order=st.sampled_from("CF"),
            data=st.data())
@@ -359,10 +356,6 @@ class TestLoaders:
             path, _ = export_stack(stack, tmp_path / "cut")
             array = stack.planes
             read = lambda p: import_stack(p.with_suffix("")).planes  # noqa: E731
-        elif kind == "raw":
-            array = grid / 7.0
-            write_raw(array, path, pitch_m=7.6e-6)
-            read = lambda p: read_raw(p)[0]  # noqa: E731
         else:
             full = struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes()
             path.write_bytes(gzip.compress(full, mtime=0) if kind == "idx.gz" else full)
@@ -381,26 +374,22 @@ class TestLoaders:
         ("stack", "x.json", b"{nope", "not a UTF-8 JSON"),
         ("stack", "x.p4", lambda p4: p4[:6], "not a binary P4"),
         ("stack", "x.p4", lambda p4: p4[: len(p4) // 2], "holds 1 bitmaps, x.json lists n_planes 2"),
-        ("raw", "x.f64", lambda f64: f64[:8], "8 bytes"),
-        ("raw", "x.f64.json", b'{"width": -1, "height": -1, "pitch_m": 1e-6}', "width and height >= 0"),
         ("stack", "x.json", lambda m: m.replace(b'"thresholds"', b'"levels"'), "not a manifest of 2 bit planes"),
         ("stack", "x.p4", lambda p4: p4.replace(b"P4\n", b"P4\n# a comment\n"), None),
     ], ids=["magic", "zero-width", "above-maxval", "manifest-not-json", "p4-cut-in-header",
-            "p4-cut-between-planes", "raw-cut", "sidecar-negative-size", "manifest-without-thresholds",
+            "p4-cut-between-planes", "manifest-without-thresholds",
             "p4-comment-reads"])
     def test_read_rejects_malformed_files(self, tmp_path, kind, name, raw, needle):
-        # each reader's files start valid (a 2-plane 6x8 stack, a 4x4 raw dump);
+        # each reader's files start valid (a 2-plane 6x8 stack);
         # ``name`` is then rewritten to ``raw``, or to ``raw`` of its bytes. A
         # stack cut between its planes reads whole bitmaps, so only the
         # manifest's count tells. The last input is well formed: a comment
         # line in each P4 header.
         stack = quantize_gray(np.arange(48, dtype=np.uint8).reshape(6, 8) * 5, 2)
         export_stack(stack, tmp_path / "x")
-        write_raw(np.eye(4), tmp_path / "x.f64", pitch_m=1e-6)
         path = tmp_path / name
         path.write_bytes(raw(path.read_bytes()) if callable(raw) else raw)
-        read = {"pgm": lambda: read_pgm(tmp_path / "x.pgm"), "stack": lambda: import_stack(tmp_path / "x"),
-                "raw": lambda: read_raw(tmp_path / "x.f64")}[kind]
+        read = {"pgm": lambda: read_pgm(tmp_path / "x.pgm"), "stack": lambda: import_stack(tmp_path / "x")}[kind]
         if needle is None:
             assert np.array_equal(read().planes, stack.planes)
             return
@@ -479,23 +468,3 @@ class TestPgm:
         back = read_pgm(write_pgm(grid, tmp_path / "x.pgm"))
         assert back.dtype == np.uint8 and back.tobytes() == grid.tobytes()
 
-
-class TestRaw:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        grid = rng.standard_normal((17, 23))
-        write_raw(grid, tmp_path / "f.f64", pitch_m=7.6e-6)
-        back, pitch = read_raw(tmp_path / "f.f64")
-        assert back.tobytes() == grid.astype("<f8").tobytes()
-        assert pitch == 7.6e-6
-
-    def test_sidecar_contents(self, tmp_path):
-        _, sidecar = write_raw(np.zeros((4, 6)), tmp_path / "g.f64", pitch_m=1e-6)
-        header = json.loads(sidecar.read_text())
-        assert header == {"width": 6, "height": 4, "pitch_m": 1e-6}
-
-    def test_special_values_survive(self, tmp_path):
-        grid = np.array([[0.0, -0.0], [np.pi, 1e-308]])
-        write_raw(grid, tmp_path / "s.f64", pitch_m=1.0)
-        back, _ = read_raw(tmp_path / "s.f64")
-        assert back.tobytes() == grid.tobytes()

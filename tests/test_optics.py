@@ -120,17 +120,14 @@ class TestFieldPlane:
 
 
 class TestApertureMask:
-    def test_mask_matches_regions(self):
-        mask = ApertureMask.from_regions((8, 16), [(0, 0, 8, 8), (0, 8, 8, 16)])
-        assert mask.open_regions == ((0, 0, 8, 8), (0, 8, 8, 16))
+    def test_holds_the_orders_it_opens(self):
+        assert ApertureMask([0, 1, -1]).orders == (0, 1, -1)
+        assert ideal_aperture(range(2)) == ApertureMask((0, 1))
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="crosstalk"):
-            ApertureMask.from_regions((8, 16), [(0, 0, 8, 9), (0, 8, 8, 16)])
-
-    def test_out_of_frame_rejected(self):
-        with pytest.raises(ValueError):
-            ApertureMask.from_regions((8, 8), [(0, 0, 9, 8)])
+        # an order given twice opens one camera window twice
+        with pytest.raises(ValueError, match=r"orders \(0, 1, 0\) repeat an order"):
+            ApertureMask((0, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,7 @@ class TestMultiKernel:
     @pytest.mark.parametrize("with_aperture", [True, False], ids=["aperture", "no-aperture"])
     def test_overflowing_intensity_raises(self, paper_config, with_aperture):
         plane = FieldPlane(np.full((8, 8), 1e200), 7.6e-6)
-        aperture = ideal_aperture([0, 1], (8, 8), paper_config) if with_aperture else None
+        aperture = ideal_aperture([0, 1]) if with_aperture else None
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite intensity"):
             multi_kernel_forward(plane, [np.ones((8, 8))] * 2, paper_config, aperture)
 
@@ -214,7 +211,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(7)
         plane = random_plane(rng, 32)
         kernel = rng.integers(0, 2, (32, 32)).astype(float)
-        aperture = ideal_aperture([0], (32, 32), paper_config)
+        aperture = ideal_aperture([0])
         multi = multi_kernel_forward(plane, [kernel], paper_config, aperture)
         single = forward_4f(plane, kernel, paper_config)
         assert multi[0].tobytes() == single.tobytes()
@@ -223,7 +220,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(8)
         plane = random_plane(rng, 32)
         kernels = [rng.integers(0, 2, (32, 32)).astype(float) for _ in range(2)]
-        aperture = ideal_aperture([0, 1], (32, 32), paper_config)
+        aperture = ideal_aperture([0, 1])
         outs = multi_kernel_forward(plane, kernels, paper_config, aperture)
         for out, kern in zip(outs, kernels):
             assert rel_rms(out, forward_4f(plane, kern, paper_config)) < 1e-9
@@ -232,7 +229,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(12)
         plane = random_plane(rng, 32)
         kernels = rng.integers(0, 2, (6, 32, 32)).astype(float)
-        aperture = ideal_aperture([0, 1], (32, 32), paper_config)
+        aperture = ideal_aperture([0, 1])
         calls = []
         real_cft2 = optics.cft2
 
@@ -257,7 +254,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(n)
         plane = random_plane(rng, n)
         kernels = list(rng.integers(0, 2, (2, n, n)).astype(float))
-        aperture = ideal_aperture([0, 1], (n, n), paper_config)
+        aperture = ideal_aperture([0, 1])
         maps = multi_kernel_forward(plane, kernels, paper_config, aperture)
         for m, kern in zip(maps, kernels, strict=True):
             assert np.array_equal(m, forward_4f(plane, kern, paper_config))
@@ -266,7 +263,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(9)
         plane = random_plane(rng, 32)
         kernels = [rng.integers(0, 2, (32, 32)).astype(float) for _ in range(2)]
-        aperture = ideal_aperture([0, 1], (32, 32), paper_config)
+        aperture = ideal_aperture([0, 1])
         clean = multi_kernel_forward(plane, kernels, paper_config, aperture)
         leaky = multi_kernel_forward(plane, kernels, paper_config, aperture=None)
         assert not np.allclose(clean[0], leaky[0])
@@ -289,7 +286,7 @@ class TestMultiKernel:
         rng = np.random.default_rng(10)
         plane = random_plane(rng, 16)
         kernels = [rng.random((16, 16)) for _ in range(3)]
-        aperture = ideal_aperture([0, 1, -1], (16, 16), paper_config)
+        aperture = ideal_aperture([0, 1, -1])
         outs = multi_kernel_forward(plane, kernels, paper_config, aperture)
         perm = [2, 0, 1]
         outs_p = multi_kernel_forward(plane, [kernels[j] for j in perm], paper_config, aperture)
@@ -298,9 +295,16 @@ class TestMultiKernel:
 
     def test_region_count_mismatch_rejected(self, paper_config):
         plane = FieldPlane(np.zeros((8, 8), complex), 7.6e-6)
-        aperture = ideal_aperture([0], (8, 8), paper_config)
-        with pytest.raises(ValueError, match="regions"):
+        aperture = ideal_aperture([0])
+        with pytest.raises(ValueError, match=r"opens orders \(0,\), the 2 kernels sit on \(0, 1\)"):
             multi_kernel_forward(plane, [np.ones((8, 8))] * 2, paper_config, aperture)
+
+    def test_aperture_on_other_orders_rejected(self, paper_config):
+        # two kernels sit on orders 0 and 1: an aperture on orders 0 and 2
+        # blocks kernel 1's window and opens one no kernel lights
+        plane = FieldPlane(np.zeros((8, 8), complex), 7.6e-6)
+        with pytest.raises(ValueError, match=r"opens orders \(0, 2\), the 2 kernels sit on \(0, 1\)"):
+            multi_kernel_forward(plane, [np.ones((8, 8))] * 2, paper_config, ideal_aperture([0, 2]))
 
     def test_order_window_must_fit(self, paper_config):
         # the fourth kernel sits on order 2, centred 1558 px out on a

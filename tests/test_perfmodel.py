@@ -177,22 +177,22 @@ class TestPresets:
 
 class TestLatency:
     def test_camera_bottleneck(self):
-        rep = latency(scenario(), {"camera": 100.0, "dmd": 15000.0, "head": 1000.0})
+        rep = latency({"camera": 100.0, "dmd": 15000.0, "head": 1000.0})
         assert rep.bottleneck == "camera"
         assert rep.throughput_hz == 100.0
 
     def test_single_stage(self):
-        rep = latency(scenario(), {"dmd": 250.0})
+        rep = latency({"dmd": 250.0})
         assert rep.total_s == pytest.approx(1 / 250.0)
 
     def test_gen13_bottleneck_leaves_camera(self):
         preset = generation_preset("Gen1.3")
-        rep = latency(preset.scenario, preset.pipeline_hz)
+        rep = latency(preset.pipeline_hz)
         assert rep.bottleneck != "camera"
 
     def test_empty_table(self):
         with pytest.raises(ValueError):
-            latency(scenario(), {})
+            latency({})
 
 
 class TestSweepReport:
