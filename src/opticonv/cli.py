@@ -351,10 +351,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def _load_sim_image(path: Path) -> np.ndarray:
     """A 2-D numeric image from a ``.npy`` array or, for any other suffix, a
-    binary P5 graymap. A file that does not read as one is a data error."""
+    P5 graymap; ``cmd_simulate`` binarizes either as it does a dataset image.
+    A file that does not read as one, that is empty, or that holds a
+    non-finite value is a data error."""
     img = datapipe.read_npy(path) if path.suffix == ".npy" else datapipe.read_pgm(path)
-    if img.ndim != 2:
-        raise DataFormatError(f"{path}: expected a 2-D image, got shape {img.shape}")
+    if img.ndim != 2 or not img.size:
+        raise DataFormatError(f"{path}: expected a non-empty 2-D image, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise DataFormatError(f"{path}: the image holds a non-finite value")
     return img
 
 
@@ -388,7 +392,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         layout = datapipe.TileLayout(rows, cols, gap=0, tile_px=(h // rows, w // cols), frame=(h, w))
     frame = np.zeros((g, g), dtype=np.uint8)
     r0, c0 = (g - h) // 2, (g - w) // 2
-    frame[r0 : r0 + h, c0 : c0 + w] = img > 0
+    frame[r0 : r0 + h, c0 : c0 + w] = datapipe.binarize_gray(img, cfg.quantize.threshold_frac)
     plane = FieldPlane.from_bits(frame, cfg.optical.dmd_pitch)
 
     if args.checkpoint:
@@ -529,7 +533,7 @@ def build_parser() -> _Parser:
     e.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("simulate", help="single-frame end-to-end optical dump")
-    s.add_argument("image", help="input pattern (.npy or binary P5 graymap)")
+    s.add_argument("image", help="input image (.npy or P5 graymap), binarized like a dataset image")
     s.add_argument("--kernels", type=_int_at_least(1), default=1, help="parallel kernel count")
     s.add_argument("--checkpoint", help="take kernels from a trained checkpoint")
     s.add_argument("--windows", help="untile outputs as RxC windows, e.g. 7x7")

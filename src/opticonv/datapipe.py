@@ -85,17 +85,20 @@ class Dataset:
 
 
 def binarize_gray(image: np.ndarray, threshold_frac: float) -> np.ndarray:
-    """Single-plane binarization: 1 where pixel >= frac * per-image maximum.
+    """Single-plane binarization, the one rule from an image to a mirror
+    frame: 1 where pixel >= frac * the image's maximum.
 
-    An all-zero image yields an all-zero plane (the degenerate max).
+    The maximum is taken as it is, so a float map whose peak lies below 1
+    keeps the pixels at or above ``frac`` of that peak. An image whose peak
+    is not positive (all zero, all negative) yields an all-zero plane.
     """
     if not 0.0 < threshold_frac < 1.0:
         raise ValueError("threshold_frac must be in (0, 1)")
     image = np.asarray(image)
     if image.size == 0:
         raise ValueError("empty image")
-    peak = int(image.max())
-    if peak == 0:
+    peak = image.max()
+    if not peak > 0:
         return np.zeros(image.shape, dtype=np.uint8)
     return (image >= threshold_frac * peak).astype(np.uint8)
 

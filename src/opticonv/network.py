@@ -207,25 +207,12 @@ def init_params(
     """Seeded initialization: kernel masters uniform in [-0.5, 0.5] directly
     in the Fourier domain, Glorot-uniform dense layers, zero biases."""
     rng = np.random.default_rng(seed)
-
-    def uniform(low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
-        # rng.uniform(low, high, size) bit for bit (low + (high - low) * u,
-        # the stream drawn in order), scaled in place one cache block at a time
-        x = np.empty(size)
-        flat = x.reshape(-1)
-        for block in _blocks(flat.size, x.itemsize):
-            part = flat[block]
-            rng.random(out=part)
-            part *= high - low
-            part += low
-        return x
-
-    kernels = uniform(-0.5, 0.5, (n_kernels, grid, grid))
+    kernels = rng.uniform(-0.5, 0.5, (n_kernels, grid, grid))
     d = n_kernels * (image_hw[0] // 2) * (image_hw[1] // 2)
 
     def glorot(n_in: int, n_out: int) -> np.ndarray:
         lim = np.sqrt(6.0 / (n_in + n_out))
-        return uniform(-lim, lim, (n_in, n_out))
+        return rng.uniform(-lim, lim, (n_in, n_out))
 
     params = ModelParams(
         fourier_kernels=kernels,
@@ -1027,6 +1014,9 @@ def save_checkpoint(params: ModelParams, path: str | Path, stage: int, seed: int
         "image_hw": list(params.image_hw),
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
     }
+    # a fresh file, not a truncated old one: truncating a large file on a
+    # filesystem mounted with online discard stalls this and the next write
+    path.unlink(missing_ok=True)
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for _, t in tensors:

@@ -9,7 +9,9 @@ actually computed). The FFT-mode bracket is transcribed literally from the
 source accounting, including its (2i-1) log argument and additive kernel
 term; a factor 10 = C * 2 covers the C=5 FFT implementation constant and the
 two transforms per convolution. Logs are base 2 per the FFT complexity
-framing.
+framing. Neither formula charges DRAM energy: one 20 pJ byte access per input
+and output pixel stays orders of magnitude below the device power at the
+28x28 presets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "GPU_REFERENCE_GOPS_PER_W",
     "ops_per_watt_fft",
     "ops_per_watt_brute",
-    "dram_power_w",
     "generation_preset",
     "latency",
     "LatencyReport",
@@ -55,10 +56,6 @@ CAMERA_MAX_HZ = 2_000.0
 HDMI_HZ = 60.0
 CAMERA_SOFTWARE_HZ = 100.0
 PCIE_HZ = 2_000.0
-
-#: DRAM access energy per byte, order 20 pJ for LPDDR-class parts.
-DRAM_PJ_PER_BYTE = 20.0
-
 
 @dataclass(frozen=True)
 class PerfScenario:
@@ -122,15 +119,6 @@ def ops_per_watt_brute(s: PerfScenario) -> float:
     return ops * s.input_parallelism * s.frame_rate_hz * s.kernel_parallelism / s.power_w
 
 
-def dram_power_w(s: PerfScenario) -> float:
-    """I/O memory-energy term: every input and output pixel charged one DRAM
-    byte access. Orders of magnitude below the device power at the presets,
-    which is why the OPS/W formulas neglect it."""
-    pixels = s.image_rows * s.image_cols * s.input_parallelism
-    traffic = 2 * pixels * s.frame_rate_hz  # in + out, bytes/s
-    return traffic * DRAM_PJ_PER_BYTE * 1e-12
-
-
 _PRESETS = {
     # name: (input_parallelism, kernel_parallelism, frame rate, interconnect)
     "Gen1.0": (1, 1, 1.0, ("hdmi", HDMI_HZ)),
@@ -175,14 +163,13 @@ def generation_preset(name: str, high_res: bool = False) -> GenerationPreset:
 @dataclass(frozen=True)
 class LatencyReport:
     total_s: float
-    throughput_hz: float
     bottleneck: str
 
 
 def latency(pipeline_hz: Mapping[str, float]) -> LatencyReport:
-    """End-to-end latency (sum of stage latencies), pipeline throughput
-    (slowest stage rate), and the bottleneck stage's name. Ties resolve to
-    the first minimal stage in table order."""
+    """End-to-end latency (sum of stage latencies) and the bottleneck
+    (slowest) stage's name. Ties resolve to the first minimal stage in table
+    order."""
     if not pipeline_hz:
         raise ValueError("pipeline stage table is empty")
     for stage, rate in pipeline_hz.items():
@@ -190,7 +177,7 @@ def latency(pipeline_hz: Mapping[str, float]) -> LatencyReport:
             raise ValueError(f"stage {stage!r} must have a positive rate")
     total = sum(1.0 / rate for rate in pipeline_hz.values())
     bottleneck = min(pipeline_hz, key=pipeline_hz.__getitem__)
-    return LatencyReport(total_s=total, throughput_hz=pipeline_hz[bottleneck], bottleneck=bottleneck)
+    return LatencyReport(total_s=total, bottleneck=bottleneck)
 
 
 REPORT_SCHEMA_VERSION = 1

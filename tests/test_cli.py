@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opticonv import cli, network
-from opticonv.datapipe import DataFormatError, read_npy, write_pgm
+from opticonv.datapipe import DataFormatError, binarize_gray, read_npy, write_pgm
 from opticonv.optics import FieldPlane, OpticalConfig, ideal_aperture, multi_kernel_forward
 
 import synthquickdraw
@@ -445,12 +445,16 @@ class TestFailureContract:
         assert "--limit" in err.strip().splitlines()[-1] and "Traceback" not in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("case", ["empty", "truncated", "not-numpy", "object-array"])
+    @pytest.mark.parametrize("case", ["empty", "truncated", "not-numpy", "object-array", "nan", "inf"])
     def test_simulate_malformed_npy_is_data_error(self, small_config, tmp_path, capsys, case):
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones((16, 16), np.uint8))
         if case == "object-array":
             np.save(img_path, np.array([[{"a": 1}, None]], dtype=object), allow_pickle=True)
+        elif case in ("nan", "inf"):
+            img = np.ones((16, 16))
+            img[3, 5] = float(case)
+            np.save(img_path, img)
         else:
             body = {"empty": b"", "truncated": img_path.read_bytes()[:-5], "not-numpy": b"P5\n1 1\n255\n\x00"}
             img_path.write_bytes(body[case])
@@ -461,7 +465,7 @@ class TestFailureContract:
         assert len(err) == 1 and str(img_path) in err[0]
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3)], ids=["0-D", "1-D", "3-D"])
+    @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3), (0, 4)], ids=["0-D", "1-D", "3-D", "empty-2-D"])
     def test_simulate_image_must_be_2d(self, small_config, tmp_path, capsys, shape):
         img_path = tmp_path / "img.npy"
         np.save(img_path, np.ones(shape, np.uint8))
@@ -599,6 +603,18 @@ class TestTrainEvalPipeline:
         ck_b = next(b.glob("train-*")) / "stage1.ckpt"
         assert ck_a.read_bytes() == ck_b.read_bytes()
 
+    def test_thread_count_changes_no_training_byte(self, small_config, tmp_path):
+        runs = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"threads{threads}"
+            assert run(["--config", small_config, "--out-dir", out_dir, "--threads", threads,
+                        "train", "--dataset", "mnist"]) == 0
+            runs.append(next(out_dir.glob("train-*")))
+        one, two = runs
+        assert one.name == two.name
+        for name in ("stage1.ckpt", "trace.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
     def test_geometry_mismatch_is_data_error(self, small_config, tmp_path):
         out_dir = tmp_path / "runs"
         assert run(["--config", small_config, "--out-dir", out_dir,
@@ -677,9 +693,14 @@ class TestSimulateCommand:
             out = read_npy(run_dir / f"kernel{k}.npy")
             assert out.dtype == np.float64 and out.shape == (g, g)
             assert np.allclose(out[r0 : r0 + 28, c0 : c0 + 28], bits, atol=1e-9)
-        # a dump is itself a simulation input
+        # a dump is itself a simulation input, binarized like any other image
+        dump = read_npy(run_dir / "kernel0.npy")
         assert run(["--config", small, "--out-dir", out_dir, "simulate", run_dir / "kernel0.npy"]) == 0
-        assert len(list(out_dir.glob("simulate-*"))) == 2
+        (rerun,) = set(out_dir.glob("simulate-*")) - {run_dir}
+        frame = read_npy(rerun / "input.npy")
+        assert 0 < frame.sum() < frame.size
+        want = binarize_gray(dump, cfg["quantize"]["threshold_frac"]).astype(np.float64)
+        assert frame.tobytes() == want.tobytes()
 
     def test_checkpoint_kernels_are_the_first_of_the_bank(self, small_config, tmp_path):
         # with the noise off, --kernels 2 projects the checkpoint's first two

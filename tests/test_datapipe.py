@@ -46,6 +46,24 @@ class TestBinarizeGray:
     def test_all_zero_image(self):
         assert not binarize_gray(np.zeros((4, 4), np.uint8), 0.8).any()
 
+    @pytest.mark.parametrize("img", [np.zeros((4, 4)), np.full((4, 4), -0.5)], ids=["float-zero", "negative"])
+    def test_non_positive_float_peak(self, img):
+        plane = binarize_gray(img, 0.8)
+        assert plane.dtype == np.uint8 and plane.shape == img.shape and not plane.any()
+
+    @pytest.mark.parametrize("frac", [0.3, 0.5, 0.8])
+    def test_uint8_bits_equal_the_integer_peak_rule(self, frac):
+        # every value 0..peak against every peak 1..255
+        for peak in range(1, 256):
+            img = np.arange(peak + 1, dtype=np.uint8).reshape(1, -1)
+            want = (img >= frac * int(img.max())).astype(np.uint8)
+            assert binarize_gray(img, frac).tobytes() == want.tobytes()
+
+    def test_float_peak_below_one(self):
+        # the cut sits at 0.8 * 0.003 = 0.0024, not at 0.8 * int(0.003) = 0
+        img = np.array([[0.001, 0.003, 0.0], [0.003, 0.001, 0.0025]])
+        assert binarize_gray(img, 0.8).tolist() == [[0, 1, 0], [1, 0, 1]]
+
     def test_constant_saturated(self):
         assert binarize_gray(np.full((3, 3), 255, np.uint8), 0.8).all()
 

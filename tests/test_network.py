@@ -133,9 +133,7 @@ class TestKernelBank:
         drawn = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4, 16, 16))
         assert_same_bits(params.fourier_kernels, drawn * highpass_mask_oracle(16))
 
-    def test_draws_equal_uniform_bitwise(self, monkeypatch):
-        # the draws are scaled in cache blocks, here of 7 values
-        monkeypatch.setattr(network, "_BLOCK_BYTES", 7 * 8)
+    def test_draws_equal_uniform_bitwise(self):
         params = init_params(seed=6, n_kernels=2, grid=16, image_hw=(8, 8), hidden=5, n_classes=3,
                              highpass_mask_enabled=False)
         rng = np.random.default_rng(6)
@@ -1334,6 +1332,13 @@ class TestCheckpoint:
         header, body = path.read_bytes().split(b"\n", 1)
         want = b"".join(np.asarray(getattr(params, n), dtype="<f8").tobytes() for n in network._PARAM_NAMES)
         assert body == want and b'"stage": 2' in header
+
+    def test_save_over_a_longer_file_writes_a_fresh_save(self, tmp_path):
+        params = toy_params(seed=25)
+        fresh = save_checkpoint(params, tmp_path / "fresh.ckpt", stage=1, seed=25).read_bytes()
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(b"\xff" * (2 * len(fresh)))
+        assert save_checkpoint(params, path, stage=1, seed=25).read_bytes() == fresh
 
     def test_truncated_tensor_rejected(self, tmp_path):
         path = save_checkpoint(toy_params(seed=23), tmp_path / "a.ckpt", stage=1, seed=23)

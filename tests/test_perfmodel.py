@@ -10,7 +10,6 @@ from opticonv.perfmodel import (
     LatencyReport,
     PerfScenario,
     custom_scenario,
-    dram_power_w,
     generation_preset,
     latency,
     ops_per_watt_brute,
@@ -140,13 +139,6 @@ def scenario_like(s, **kw):
     return replace(s, **kw)
 
 
-class TestDramEnergy:
-    def test_negligible_at_presets(self):
-        for name in GENERATIONS:
-            s = generation_preset(name).scenario
-            assert dram_power_w(s) < 0.005 * s.power_w  # < 0.5% of device power
-
-
 class TestPresets:
     def test_parallelism_ladder(self):
         assert generation_preset("Gen1.0").scenario.input_parallelism == 1
@@ -179,7 +171,6 @@ class TestLatency:
     def test_camera_bottleneck(self):
         rep = latency({"camera": 100.0, "dmd": 15000.0, "head": 1000.0})
         assert rep.bottleneck == "camera"
-        assert rep.throughput_hz == 100.0
 
     def test_single_stage(self):
         rep = latency({"dmd": 250.0})
