@@ -149,10 +149,14 @@ class TrainConfig:
     """Hyperparameters and reproducibility knobs for both training stages.
 
     ``dtype`` is the training arithmetic, one rule for both stages: the
-    stage-1 conv layer and pool, and the head's feature-sized GEMMs (three
-    in stage 1, the forward and the fc1_w gradient in stage 2), run in it.
-    The bias adds, fc2, the softmax and the loss run in float64, as do the
-    masters and the optimizer's velocities. The CLI runs the stage-2 capture
+    stage-1 conv layer and pool, and the head's feature-sized GEMMs, run in
+    it. Stage 1 has three per step. Stage 2 has two per step (the forward
+    and the fc1_w gradient), or, when its N captures are at most twice the
+    hidden width, two in all: the captures' Gram matrix and their product
+    with the initial fc1_w (see ``finetune_stage2``). The bias adds, fc2,
+    the softmax and the loss run in float64, as do the masters, the
+    optimizer's velocities and that Gram form's (N, hidden) coefficients
+    with their product. The CLI runs the stage-2 capture
     and eval, digital or optical, in it too. The conv engine's library
     defaults (``conv_fourier_forward``, ``capture_features``, ``predict``,
     ``evaluate``) and the physics probes run float64.
@@ -632,16 +636,29 @@ def _head_step(
     flat: np.ndarray, fc1_w: np.ndarray, labels: np.ndarray, params: ModelParams
 ) -> tuple[float, float, dict[str, np.ndarray], np.ndarray]:
     """Dense head forward and backward on pooled, flattened features (B, D):
-    softmax cross-entropy loss, accuracy, the fc gradients and dL/d(fc1
-    pre-activation), from which the caller may continue the backward pass.
+    ``_head_on_product`` of ``flat @ fc1_w``, plus the fc1_w gradient.
 
     ``fc1_w`` is ``_fc1_weights(flat, params)``: ``flat @ fc1_w`` and
     ``flat.T @ dpre1`` run in the features' dtype, which both training
     stages set to ``TrainConfig.dtype``, so the fc1_w gradient and the
-    returned dpre1 are in it too. The bias adds, fc2, the softmax and the
-    loss run in float64, as do the other gradients (a float32
-    ``p + 1e-300`` would add 0 and let an underflowed class give -inf)."""
-    pre1 = flat @ fc1_w + params.fc1_b
+    returned dpre1 are in it too."""
+    loss, acc, grads, dpre1 = _head_on_product(flat @ fc1_w, labels, params)
+    dpre1 = dpre1.astype(fc1_w.dtype, copy=False)
+    grads["fc1_w"] = flat.T @ dpre1
+    return loss, acc, grads, dpre1
+
+
+def _head_on_product(
+    product: np.ndarray, labels: np.ndarray, params
+) -> tuple[float, float, dict[str, np.ndarray], np.ndarray]:
+    """The head from the batch's fc1 product ``flat @ fc1_w`` (B, H):
+    softmax cross-entropy loss, accuracy, the fc1_b, fc2_w and fc2_b
+    gradients and the float64 dL/d(fc1 pre-activation), from which the
+    caller forms the fc1 gradient. ``params`` needs only ``fc1_b``,
+    ``fc2_w`` and ``fc2_b``. The bias adds, fc2, the softmax and the loss
+    run in float64 (a float32 ``p + 1e-300`` would add 0 and let an
+    underflowed class give -inf)."""
+    pre1 = product + params.fc1_b
     hidden = np.maximum(pre1, 0.0)
     logits = hidden @ params.fc2_w + params.fc2_b
     z = logits - logits.max(axis=1, keepdims=True)
@@ -653,14 +670,12 @@ def _head_step(
     p[rows, labels] -= 1.0
     dlogits = p / len(labels)
     dpre1 = (dlogits @ params.fc2_w.T) * (pre1 > 0)
-    dpre1_gemm = dpre1.astype(fc1_w.dtype, copy=False)
     grads = {
         "fc2_w": hidden.T @ dlogits,
         "fc2_b": dlogits.sum(axis=0),
-        "fc1_w": flat.T @ dpre1_gemm,
         "fc1_b": dpre1.sum(axis=0),
     }
-    return loss, acc, grads, dpre1_gemm
+    return loss, acc, grads, dpre1
 
 
 # ---------------------------------------------------------------------------
@@ -769,12 +784,24 @@ class _Momentum:
         return replace(params, **new)
 
 
+def _require_samples(n: int, labels: np.ndarray, n_classes: int) -> None:
+    """The sample rejections of both training stages: no samples, a label
+    count other than ``n``, or a label outside [0, n_classes)."""
+    if n == 0:
+        raise ValueError("training needs at least one sample")
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} samples")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must be in [0, {n_classes}), got [{labels.min()}, {labels.max()}]")
+
+
 def _sgd(
-    params: ModelParams, names: Sequence[str], n: int, config: TrainConfig, stage: int,
-    loss_and_grads: Callable[[ModelParams, np.ndarray], tuple[float, float, dict]], log_every: int = 0,
-) -> tuple[ModelParams, list[dict]]:
+    params, names: Sequence[str], n: int, config: TrainConfig, stage: int,
+    loss_and_grads: Callable[..., tuple[float, float, dict]], log_every: int = 0,
+):
     """The training loop of both stages: momentum SGD on the parameters
-    ``names`` over ``n`` samples, in batches of a seeded permutation per
+    ``names`` of ``params`` (a ``ModelParams``, or stage 2's ``_GramHead``)
+    over ``n`` samples, in batches of a seeded permutation per
     epoch (``config.seed`` in stage 1, ``config.seed + 1`` in stage 2).
     ``loss_and_grads(params, sel)`` gives the loss, accuracy and gradients
     of the samples ``sel``. Stage 1 re-masks the fresh masters after each
@@ -827,9 +854,12 @@ def train_stage1(
 
     ``dataset`` is a (binary images, labels) pair from the quantization
     pipeline. Deterministic under ``config.seed``; returns the trained
-    parameters and a per-epoch loss/accuracy trace.
+    parameters and a per-epoch loss/accuracy trace. An empty set, a label
+    count other than the image count or a label outside the head's classes
+    is a ``ValueError``.
     """
     bits, labels = map(np.asarray, dataset)
+    _require_samples(len(bits), labels, params.n_classes)
 
     def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
         return _loss_and_grads(p, bits[sel], labels[sel], config.dtype, workers)
@@ -867,29 +897,82 @@ def finetune_stage2(
 
     The features are pooled once in their own dtype, a cache block of
     captures at a time, straight into ``config.dtype`` (max and the cast are
-    exact, so the capture's dtype does not move a bit), and the head's
-    feature-sized GEMMs run in it as in stage 1; the bias adds, fc2, the
-    softmax, the loss, the float64 masters and the optimizer's velocities do
-    not. A float64 config runs the float64 head unchanged."""
+    exact, so the capture's dtype does not move a bit).
+
+    Every fc1_w gradient is ``flat[sel].T @ dpre1``, so the whole update of
+    fc1_w lies in the span of the N pooled captures. When N <= 2 * hidden
+    the head trains in that span (``_finetune_gram``); otherwise fc1_w
+    itself trains, its feature-sized GEMMs in ``config.dtype`` as in stage
+    1. Either way the bias adds, fc2, the softmax, the loss, the float64
+    masters and the optimizer's velocities run in float64. An empty set, a
+    label count other than the capture count or a label outside the head's
+    classes is a ``ValueError``."""
     features, labels = map(np.asarray, captured)
     if features.shape[1:] != (params.n_kernels, *params.image_hw):
         raise ValueError(
             f"captured features {features.shape[1:]} do not match the stage-1 head "
             f"{(params.n_kernels, *params.image_hw)}"
         )
+    _require_samples(len(features), labels, params.n_classes)
     kernels_before = params.fourier_kernels
-    d = len(params.fc1_w)
+    d, hidden = params.fc1_w.shape
     flat_all = np.empty((len(features), d), dtype=_real_dtype(config.dtype))
     for block in _blocks(len(features), features.itemsize * math.prod(features.shape[1:])):
         flat_all[block] = _maxpool2(features[block]).reshape(-1, d)
 
-    def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
-        flat = flat_all[sel]
-        return _head_step(flat, _fc1_weights(flat, p), labels[sel], p)[:3]
+    if len(flat_all) <= 2 * hidden:
+        params, trace = _finetune_gram(params, flat_all, labels, config)
+    else:
+        def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
+            flat = flat_all[sel]
+            return _head_step(flat, _fc1_weights(flat, p), labels[sel], p)[:3]
 
-    params, trace = _sgd(params, _PARAM_NAMES[1:], len(features), config, 2, loss_and_grads)  # the head only
+        params, trace = _sgd(params, _PARAM_NAMES[1:], len(flat_all), config, 2, loss_and_grads)  # the head only
     assert params.fourier_kernels is kernels_before  # freeze contract
     return params, trace
+
+
+@dataclass(frozen=True)
+class _GramHead:
+    """The head as stage 2's Gram form trains it: fc1_w is
+    ``fc1_w0 + flat_all.T @ fc1_coef`` for the frozen initial fc1_w0 and
+    the (N, D) pooled captures ``flat_all``."""
+
+    fc1_coef: np.ndarray  # (N, hidden) float64
+    fc1_b: np.ndarray
+    fc2_w: np.ndarray
+    fc2_b: np.ndarray
+
+
+def _finetune_gram(
+    params: ModelParams, flat_all: np.ndarray, labels: np.ndarray, config: TrainConfig
+) -> tuple[ModelParams, list[dict]]:
+    """Stage 2 on the (N, H) coefficients of fc1_w's update in the span of
+    the captures. The step on the samples ``sel`` has the fc1_w gradient
+    ``flat_all.T @ E`` with E the batch's dpre1 in rows ``sel`` and zero
+    elsewhere, and momentum and the update are linear, so training the
+    coefficients on E is the same algorithm in real arithmetic. The batch's
+    fc1 product is ``base[sel] + gram[sel] @ fc1_coef``.
+
+    ``base = flat_all @ fc1_w0`` and ``gram = flat_all @ flat_all.T`` are
+    feature-sized GEMMs and run once in ``config.dtype``; the coefficients,
+    their velocity, ``gram[sel] @ fc1_coef`` and the final fc1_w run in
+    float64. N <= 2 * hidden keeps the one-off Gram GEMM (N * N * D) within
+    one epoch of the fc1_w GEMMs (2 * N * D * H)."""
+    fc1_w0 = params.fc1_w
+    base = flat_all @ _fc1_weights(flat_all, params)
+    gram = (flat_all @ flat_all.T).astype(np.float64, copy=False)
+    head = _GramHead(np.zeros((len(flat_all), fc1_w0.shape[1])), params.fc1_b, params.fc2_w, params.fc2_b)
+
+    def loss_and_grads(h: _GramHead, sel: np.ndarray) -> tuple[float, float, dict]:
+        loss, acc, grads, dpre1 = _head_on_product(base[sel] + gram[sel] @ h.fc1_coef, labels[sel], h)
+        grads["fc1_coef"] = coef = np.zeros(h.fc1_coef.shape)
+        coef[sel] = dpre1
+        return loss, acc, grads
+
+    head, trace = _sgd(head, ("fc1_coef", *_PARAM_NAMES[2:]), len(flat_all), config, 2, loss_and_grads)
+    fc1_w = fc1_w0 + flat_all.T.astype(np.float64, copy=False) @ head.fc1_coef
+    return replace(params, fc1_w=fc1_w, fc1_b=head.fc1_b, fc2_w=head.fc2_w, fc2_b=head.fc2_b), trace
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ replaced, with the same transforms in the same order, so the implementation
 must equal them bitwise. They delegate the kernel resample and its adjoint
 to the implementation; ``resample_spectrum_oracle``, the FFT form those
 dense operators replaced, checks both to rounding. ``finetune_stage2_oracle``
-pins the stage-2 head loop the same way.
+pins the stage-2 head loop the same way, and ``finetune_stage2_gram_oracle``
+its Gram form for small capture sets.
 
 ``capture_oracle`` and ``features_tiled_oracle`` run single images and tiled
 frames through the physics reference in ``optics``, the paths the conv
@@ -326,6 +327,71 @@ def finetune_stage2_oracle(params, captured, config):
             }
         )
     return params, trace
+
+
+def finetune_stage2_gram_oracle(params, captured, config):
+    """Stage 2's Gram form as a plain loop: the features pooled and cast as
+    in ``finetune_stage2_oracle``; ``base = flat_all @ fc1_w`` and ``gram =
+    flat_all @ flat_all.T`` once in the config's dtype; each step's fc1
+    product ``base[sel] + gram[sel] @ coef`` with the (N, H) coefficients
+    in float64, and ``momentum_step_oracle`` on the coefficients (whose
+    gradient is the batch's dpre1 in rows ``sel``, zero elsewhere) and the
+    other three head parameters. fc1_w comes back as ``fc1_w +
+    flat_all.T @ coef`` in float64."""
+    features, labels = captured
+    rdtype = np.float32 if config.dtype == "float32" else np.float64
+    features = np.asarray(features, dtype=np.float64)
+    flat_all = maxpool2_oracle(features)[0].reshape(len(features), -1).astype(rdtype)
+    labels = np.asarray(labels)
+    base = flat_all @ params.fc1_w.astype(rdtype)
+    gram = (flat_all @ flat_all.T).astype(np.float64)
+    head = {
+        "coef": np.zeros((len(flat_all), params.fc1_w.shape[1])),
+        "fc1_b": params.fc1_b,
+        "fc2_w": params.fc2_w,
+        "fc2_b": params.fc2_b,
+    }
+    rng = np.random.default_rng(config.seed + 1)
+    velocity: dict = {}
+    trace = []
+    for epoch in range(config.epochs_stage2):
+        order = rng.permutation(len(flat_all))
+        losses, accs = [], []
+        for s in range(0, len(flat_all), config.batch_size):
+            sel = order[s : s + config.batch_size]
+            y = labels[sel]
+            b = len(y)
+            pre1 = base[sel] + gram[sel] @ head["coef"] + head["fc1_b"]
+            hidden = np.maximum(pre1, 0.0)
+            logits = hidden @ head["fc2_w"] + head["fc2_b"]
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            rows = np.arange(b)
+            losses.append(-float(np.mean(np.log(p[rows, y] + 1e-300))))
+            accs.append(float(np.mean(logits.argmax(axis=1) == y)))
+            onehot = np.zeros_like(p)
+            onehot[rows, y] = 1.0
+            dlogits = (p - onehot) / b
+            dpre1 = (dlogits @ head["fc2_w"].T) * (pre1 > 0)
+            coef = np.zeros_like(head["coef"])
+            coef[sel] = dpre1
+            grads = {
+                "coef": coef,
+                "fc1_b": dpre1.sum(axis=0),
+                "fc2_w": hidden.T @ dlogits,
+                "fc2_b": dlogits.sum(axis=0),
+            }
+            head = momentum_step_oracle(head, velocity, grads, config.lr_stage2, config.momentum)
+        trace.append(
+            {
+                "epoch": epoch,
+                "split": "stage2-train",
+                "loss": float(np.mean(losses)),
+                "accuracy": float(np.mean(accs)),
+            }
+        )
+    fc1_w = params.fc1_w + flat_all.T.astype(np.float64) @ head["coef"]
+    return replace(params, fc1_w=fc1_w, fc1_b=head["fc1_b"], fc2_w=head["fc2_w"], fc2_b=head["fc2_b"]), trace
 
 
 # ---------------------------------------------------------------------------

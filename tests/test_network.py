@@ -36,6 +36,7 @@ from oracles import (
     conv_4f_oracle,
     conv_window_oracle,
     features_tiled_oracle,
+    finetune_stage2_gram_oracle,
     finetune_stage2_oracle,
     highpass_mask_oracle,
     loss_and_grads_oracle,
@@ -837,6 +838,120 @@ class TestStage2:
         assert all(getattr(tuned, name).dtype == np.float64 for name in network._PARAM_NAMES)
 
 
+class TestStage2Gram:
+    """N <= 2 * hidden captures train fc1 through their Gram matrix; the
+    toy head has hidden 8, so 16 captures take that form and 17 do not."""
+
+    _captured = TestStage2._captured
+    _trained = TestStage2._trained
+
+    @staticmethod
+    def config(dtype, batch_size=5):
+        # 16 captures in batches of 5 leave a batch of 1
+        return TrainConfig(epochs_stage2=3, batch_size=batch_size, lr_stage2=0.05, seed=6, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_gram_oracle_loop_bitwise(self, dtype):
+        params, captured = self._captured(n=16)
+        got, got_trace = finetune_stage2(params, captured, self.config(dtype))
+        want, want_trace = finetune_stage2_gram_oracle(params, captured, self.config(dtype))
+        assert got_trace == want_trace
+        for name in network._PARAM_NAMES:
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    @staticmethod
+    def assert_tracks_plain_loop(params, captured, cfg, rtol):
+        got, got_trace = finetune_stage2(params, captured, cfg)
+        want, want_trace = finetune_stage2_oracle(params, captured, cfg)
+        head = network._PARAM_NAMES[1:]
+        scale = max(np.abs(getattr(want, name)).max() for name in head)
+        for name in head:
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= rtol * scale, name
+        assert [r["accuracy"] for r in got_trace] == [r["accuracy"] for r in want_trace]
+        assert [r["loss"] for r in got_trace] == pytest.approx([r["loss"] for r in want_trace], rel=rtol)
+        assert got.fourier_kernels is params.fourier_kernels
+
+    @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_tracks_the_plain_loop_oracle_on_toy_sizes(self, dtype, rtol):
+        params, captured = self._captured(n=16)
+        self.assert_tracks_plain_loop(params, captured, self.config(dtype), rtol)
+
+    @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_tracks_the_plain_loop_oracle_at_tiled_sizes(self, dtype, rtol):
+        # the tiled fit's shape: N = 196 captures, K = 16, G = 256, hidden 256
+        params = init_params(seed=31, n_kernels=16, grid=256, hidden=256)
+        rng = np.random.default_rng(31)
+        feats = rng.random((196, 16, 28, 28)) ** 4
+        feats /= feats.reshape(196, -1).max(axis=1)[:, None, None, None]
+        captured = (feats.astype(dtype), rng.integers(0, 10, 196))
+        self.assert_tracks_plain_loop(params, captured, self.config(dtype, batch_size=64), rtol)
+
+    @pytest.mark.parametrize("n, trained", [(16, "fc1_coef"), (17, "fc1_w")])
+    def test_gram_form_up_to_twice_hidden(self, monkeypatch, n, trained):
+        names = []
+
+        class Recording(network._Momentum):
+            def __init__(self, opt_names):
+                super().__init__(opt_names)
+                names.append(tuple(opt_names))
+
+        params, captured = self._captured(n=n)
+        monkeypatch.setattr(network, "_Momentum", Recording)
+        finetune_stage2(params, captured, self.config("float64"))
+        assert names == [(trained, "fc1_b", "fc2_w", "fc2_b")]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_coefficients_and_velocities_stay_float64(self, monkeypatch, dtype):
+        optimizers, grad_dtypes = [], set()
+
+        class Recording(network._Momentum):
+            def __init__(self, names):
+                super().__init__(names)
+                optimizers.append(self)
+
+            def step(self, params, grads, lr, momentum):
+                grad_dtypes.update(g.dtype for g in grads.values())
+                assert params.fc1_coef.dtype == np.float64
+                return super().step(params, grads, lr, momentum)
+
+        params, captured = self._captured(n=16)
+        monkeypatch.setattr(network, "_Momentum", Recording)
+        tuned, _ = finetune_stage2(params, captured, self.config(dtype))
+        assert grad_dtypes == {np.dtype(np.float64)}
+        (opt,) = optimizers
+        assert opt.v["fc1_coef"].shape == (16, 8)
+        assert {v.dtype for v in opt.v.values()} == {np.dtype(np.float64)}
+        assert all(getattr(tuned, name).dtype == np.float64 for name in network._PARAM_NAMES)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_divergence_names_stage_epoch_and_step(self, dtype):
+        params, captured = self._captured(n=16)
+        bad = params.fc1_w.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError, match=r"^stage 2 diverged at epoch 0, step 0: loss=nan$"):
+            finetune_stage2(network.replace(params, fc1_w=bad), captured, self.config(dtype))
+
+
+class TestStageInputs:
+    """Both training stages reject labels that do not fit their samples."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("labels, needle", [
+        (np.zeros(12, np.int64), "12 labels for 10 samples"),
+        (np.array([0, 1, 2, -1, 0, 1, 2, 0, 1, 2]), r"labels must be in \[0, 3\)"),
+        (np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 2]), r"labels must be in \[0, 3\)"),
+    ])
+    def test_bad_labels_rejected(self, stage, labels, needle):
+        params = toy_params(seed=24)
+        bits, _ = toy_batch(24, n=10)
+        cfg = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=4, seed=0, dtype="float64")
+        with pytest.raises(ValueError, match=needle):
+            if stage == 1:
+                train_stage1((bits, labels), cfg, params)
+            else:
+                finetune_stage2(params, (conv_fourier_forward(bits, params), labels), cfg)
+
+
 class TestReadOnlyParams:
     def test_training_and_capture_never_write_to_params(self):
         # The perfbench gradient probe reads a step as the caller's masters
@@ -1240,7 +1355,8 @@ class TestTiled:
 
 
 class TestEmptyBatch:
-    """An empty batch gives empty features and an empty, zero-count score."""
+    """An empty batch gives empty features and an empty, zero-count score;
+    an empty training set is rejected by both stages."""
 
     @staticmethod
     def case():
@@ -1281,6 +1397,18 @@ class TestEmptyBatch:
         params, bits, labels, layout = self.case()
         self.assert_empty_score(evaluate_tiled(params, (bits, labels), layout, OpticalConfig()),
                                 params.n_classes)
+
+    def test_train_stage1_rejected(self):
+        params, bits, labels, _ = self.case()
+        with pytest.raises(ValueError, match="at least one sample"):
+            train_stage1((bits, labels), TrainConfig(epochs_stage1=1), params)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_finetune_stage2_rejected(self, dtype):
+        params, _, labels, _ = self.case()
+        feats = np.zeros((0, 2, 8, 8), dtype)
+        with pytest.raises(ValueError, match="at least one sample"):
+            finetune_stage2(params, (feats, labels), TrainConfig(epochs_stage2=1, dtype=dtype))
 
 
 class TestTrainConfigValues:
