@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.fft
@@ -151,10 +151,10 @@ class TrainConfig:
     ``dtype`` is the training arithmetic, one rule for both stages: the
     stage-1 conv layer and pool, and the head's feature-sized GEMMs, run in
     it. Stage 1 has three per step. Stage 2 has two per step (the forward
-    and the fc1_w gradient), or, when its N captures are at most twice the
-    hidden width, two in all: the captures' Gram matrix and their product
-    with the initial fc1_w (see ``finetune_stage2``). The bias adds, fc2,
-    the softmax and the loss run in float64, as do the masters, the
+    and the fc1_w gradient), or, when training through the captures' Gram
+    matrix costs less, two in all: that Gram matrix and the captures'
+    product with the initial fc1_w (see ``finetune_stage2``). The bias adds,
+    fc2, the softmax and the loss run in float64, as do the masters, the
     optimizer's velocities and that Gram form's (N, hidden) coefficients
     with their product. The CLI runs the stage-2 capture
     and eval, digital or optical, in it too. The conv engine's library
@@ -649,12 +649,12 @@ def _head_step(
 
 
 def _head_on_product(
-    product: np.ndarray, labels: np.ndarray, params
+    product: np.ndarray, labels: np.ndarray, params: ModelParams | _GramHead
 ) -> tuple[float, float, dict[str, np.ndarray], np.ndarray]:
     """The head from the batch's fc1 product ``flat @ fc1_w`` (B, H):
     softmax cross-entropy loss, accuracy, the fc1_b, fc2_w and fc2_b
     gradients and the float64 dL/d(fc1 pre-activation), from which the
-    caller forms the fc1 gradient. ``params`` needs only ``fc1_b``,
+    caller forms the fc1 gradient. Of ``params`` it reads only ``fc1_b``,
     ``fc2_w`` and ``fc2_b``. The bias adds, fc2, the softmax and the loss
     run in float64 (a float32 ``p + 1e-300`` would add 0 and let an
     underflowed class give -inf)."""
@@ -747,6 +747,7 @@ def _loss_and_grads(
 
 
 _PARAM_NAMES = ("fourier_kernels", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
+_Trained = TypeVar("_Trained", "ModelParams", "_GramHead")  # what _sgd and _Momentum train
 
 
 class _Momentum:
@@ -762,7 +763,7 @@ class _Momentum:
     def __init__(self, names: Sequence[str]):
         self.v = {n: None for n in names}
 
-    def step(self, params: ModelParams, grads: dict, lr: float, momentum: float) -> ModelParams:
+    def step(self, params: _Trained, grads: dict, lr: float, momentum: float) -> _Trained:
         new = {}
         for n, v in self.v.items():
             g, p = grads[n], getattr(params, n)
@@ -796,9 +797,9 @@ def _require_samples(n: int, labels: np.ndarray, n_classes: int) -> None:
 
 
 def _sgd(
-    params, names: Sequence[str], n: int, config: TrainConfig, stage: int,
-    loss_and_grads: Callable[..., tuple[float, float, dict]], log_every: int = 0,
-):
+    params: _Trained, names: Sequence[str], n: int, config: TrainConfig, stage: int,
+    loss_and_grads: Callable[[_Trained, np.ndarray], tuple[float, float, dict]], log_every: int = 0,
+) -> tuple[_Trained, list[dict]]:
     """The training loop of both stages: momentum SGD on the parameters
     ``names`` of ``params`` (a ``ModelParams``, or stage 2's ``_GramHead``)
     over ``n`` samples, in batches of a seeded permutation per
@@ -900,13 +901,14 @@ def finetune_stage2(
     exact, so the capture's dtype does not move a bit).
 
     Every fc1_w gradient is ``flat[sel].T @ dpre1``, so the whole update of
-    fc1_w lies in the span of the N pooled captures. When N <= 2 * hidden
-    the head trains in that span (``_finetune_gram``); otherwise fc1_w
-    itself trains, its feature-sized GEMMs in ``config.dtype`` as in stage
-    1. Either way the bias adds, fc2, the softmax, the loss, the float64
-    masters and the optimizer's velocities run in float64. An empty set, a
-    label count other than the capture count or a label outside the head's
-    classes is a ``ValueError``."""
+    fc1_w lies in the span of the N pooled captures. Where that costs less
+    (``_gram_pays``) the head trains in that span (``_finetune_gram``);
+    otherwise fc1_w itself trains (``_finetune_fc1``). Either way the bias
+    adds, fc2, the softmax, the loss, the float64 masters and the
+    optimizer's velocities run in float64, and a head whose fc1_w does not
+    fit ``config.dtype``, in which eval runs it, diverged at the last step.
+    An empty set, a label count other than the capture count or a label
+    outside the head's classes is a ``ValueError``."""
     features, labels = map(np.asarray, captured)
     if features.shape[1:] != (params.n_kernels, *params.image_hw):
         raise ValueError(
@@ -920,16 +922,56 @@ def finetune_stage2(
     for block in _blocks(len(features), features.itemsize * math.prod(features.shape[1:])):
         flat_all[block] = _maxpool2(features[block]).reshape(-1, d)
 
-    if len(flat_all) <= 2 * hidden:
-        params, trace = _finetune_gram(params, flat_all, labels, config)
-    else:
-        def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
-            flat = flat_all[sel]
-            return _head_step(flat, _fc1_weights(flat, p), labels[sel], p)[:3]
-
-        params, trace = _sgd(params, _PARAM_NAMES[1:], len(flat_all), config, 2, loss_and_grads)  # the head only
+    train = _finetune_gram if _gram_pays(len(flat_all), d, hidden, config) else _finetune_fc1
+    params, trace = train(params, flat_all, labels, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = np.isfinite(params.fc1_w.astype(flat_all.dtype, copy=False)).all()
+    if not fits:
+        steps = -(-len(flat_all) // config.batch_size)
+        raise TrainingDivergedError(
+            f"stage 2 diverged at epoch {config.epochs_stage2 - 1}, step {steps - 1}: "
+            f"fc1_w does not fit {config.dtype}"
+        )
     assert params.fourier_kernels is kernels_before  # freeze contract
     return params, trace
+
+
+def _finetune_fc1(
+    params: ModelParams, flat_all: np.ndarray, labels: np.ndarray, config: TrainConfig
+) -> tuple[ModelParams, list[dict]]:
+    """Stage 2 on fc1_w itself: the head's two feature-sized GEMMs per step
+    run in ``config.dtype``, as in stage 1."""
+
+    def loss_and_grads(p: ModelParams, sel: np.ndarray) -> tuple[float, float, dict]:
+        flat = flat_all[sel]
+        return _head_step(flat, _fc1_weights(flat, p), labels[sel], p)[:3]
+
+    return _sgd(params, _PARAM_NAMES[1:], len(flat_all), config, 2, loss_and_grads)  # the head only
+
+
+#: An optimizer step's cost per trained entry, in multiply-adds of the
+#: head's GEMMs: the step is a few memory-bound passes over the velocity,
+#: gradient and parameter (and the float32 loop's recast of fc1_w). Fitted
+#: to where the two stage-2 forms cost the same, measured at the benchmark's
+#: head (D = 3136, hidden 256, batch 64, float32, one BLAS thread) at 1, 2,
+#: 5 and 30 epochs: N = 480, 1150, 2200 and 3550, each within 5% of
+#: ``_gram_pays``'s.
+_STEP_MADDS = 160
+
+
+def _gram_pays(n: int, d: int, hidden: int, config: TrainConfig) -> bool:
+    """Whether stage 2 costs less in the Gram form, in multiply-adds. Over
+    E epochs of S steps in all, training fc1_w costs 2 * E * N * D * H in
+    GEMMs and S * D * H * ``_STEP_MADDS`` in optimizer steps. The Gram form
+    costs N * N * D + 2 * N * D * H once (the Gram matrix, the base product
+    and the final fc1_w), E * N * N * H in GEMMs and S * N * H *
+    ``_STEP_MADDS`` in optimizer steps. Where it pays, N < 2 * D, so the
+    Gram matrix holds fewer entries than twice the pooled captures."""
+    epochs = config.epochs_stage2
+    steps = epochs * -(-n // config.batch_size)
+    fc1 = d * hidden * (2 * epochs * n + steps * _STEP_MADDS)
+    gram = n * d * (n + 2 * hidden) + n * hidden * (epochs * n + steps * _STEP_MADDS)
+    return gram <= fc1
 
 
 @dataclass(frozen=True)
@@ -957,21 +999,24 @@ def _finetune_gram(
     ``base = flat_all @ fc1_w0`` and ``gram = flat_all @ flat_all.T`` are
     feature-sized GEMMs and run once in ``config.dtype``; the coefficients,
     their velocity, ``gram[sel] @ fc1_coef`` and the final fc1_w run in
-    float64. N <= 2 * hidden keeps the one-off Gram GEMM (N * N * D) within
-    one epoch of the fc1_w GEMMs (2 * N * D * H)."""
+    float64. A product that overflows ``config.dtype`` raises in the step,
+    as the loop's GEMM in that dtype would."""
     fc1_w0 = params.fc1_w
     base = flat_all @ _fc1_weights(flat_all, params)
-    gram = (flat_all @ flat_all.T).astype(np.float64, copy=False)
+    gram = flat_all @ flat_all.T
     head = _GramHead(np.zeros((len(flat_all), fc1_w0.shape[1])), params.fc1_b, params.fc2_w, params.fc2_b)
 
     def loss_and_grads(h: _GramHead, sel: np.ndarray) -> tuple[float, float, dict]:
-        loss, acc, grads, dpre1 = _head_on_product(base[sel] + gram[sel] @ h.fc1_coef, labels[sel], h)
+        product = base[sel] + gram[sel].astype(np.float64, copy=False) @ h.fc1_coef
+        product.astype(base.dtype, copy=False)  # raises under _sgd's errstate if it overflows
+        loss, acc, grads, dpre1 = _head_on_product(product, labels[sel], h)
         grads["fc1_coef"] = coef = np.zeros(h.fc1_coef.shape)
         coef[sel] = dpre1
         return loss, acc, grads
 
     head, trace = _sgd(head, ("fc1_coef", *_PARAM_NAMES[2:]), len(flat_all), config, 2, loss_and_grads)
-    fc1_w = fc1_w0 + flat_all.T.astype(np.float64, copy=False) @ head.fc1_coef
+    with np.errstate(over="ignore", invalid="ignore"):  # a head that outgrew its dtype fails in the caller
+        fc1_w = fc1_w0 + flat_all.T.astype(np.float64, copy=False) @ head.fc1_coef
     return replace(params, fc1_w=fc1_w, fc1_b=head.fc1_b, fc2_w=head.fc2_w, fc2_b=head.fc2_b), trace
 
 

@@ -839,8 +839,9 @@ class TestStage2:
 
 
 class TestStage2Gram:
-    """N <= 2 * hidden captures train fc1 through their Gram matrix; the
-    toy head has hidden 8, so 16 captures take that form and 17 do not."""
+    """Stage 2 trains fc1 through the captures' Gram matrix where that costs
+    less; for the toy head (D = 32, hidden 8) in batches of 5 over 3
+    epochs, up to 31 captures take that form."""
 
     _captured = TestStage2._captured
     _trained = TestStage2._trained
@@ -886,8 +887,8 @@ class TestStage2Gram:
         captured = (feats.astype(dtype), rng.integers(0, 10, 196))
         self.assert_tracks_plain_loop(params, captured, self.config(dtype, batch_size=64), rtol)
 
-    @pytest.mark.parametrize("n, trained", [(16, "fc1_coef"), (17, "fc1_w")])
-    def test_gram_form_up_to_twice_hidden(self, monkeypatch, n, trained):
+    @pytest.mark.parametrize("n, trained", [(31, "fc1_coef"), (32, "fc1_w")])
+    def test_form_switches_where_gram_pays(self, monkeypatch, n, trained):
         names = []
 
         class Recording(network._Momentum):
@@ -899,6 +900,35 @@ class TestStage2Gram:
         monkeypatch.setattr(network, "_Momentum", Recording)
         finetune_stage2(params, captured, self.config("float64"))
         assert names == [(trained, "fc1_b", "fc2_w", "fc2_b")]
+
+    @pytest.mark.parametrize("n, epochs, gram", [
+        # 15% either side of the measured crossovers at the benchmark's head
+        # (D = 3136, hidden 256, batch 64, float32): N = 480, 1150, 2200, 3550
+        (400, 1, True), (560, 1, False), (980, 2, True), (1320, 2, False),
+        (1870, 5, True), (2530, 5, False), (3000, 30, True), (4080, 30, False),
+        # the benchmark's capture and tiled fits, its set-up head fit, the
+        # CLI default capture set and the paper's 6000 captures
+        (48, 5, True), (196, 5, True), (64, 30, True), (2000, 5, True), (6000, 5, False),
+    ])
+    def test_rule_tracks_the_measured_crossovers(self, n, epochs, gram):
+        cfg = TrainConfig(epochs_stage2=epochs, batch_size=64)
+        assert network._gram_pays(n, 3136, 256, cfg) is gram
+
+    @pytest.mark.parametrize("dtype, lr, epochs, batch_size, message", [
+        ("float32", 1e30, 3, 5, "epoch 0, step 2: overflow encountered in cast"),
+        ("float32", 1e300, 3, 5, "epoch 0, step 1: overflow encountered in cast"),
+        ("float32", 1e45, 1, 16, "epoch 0, step 0: fc1_w does not fit float32"),
+        ("float64", 1e300, 3, 5, "epoch 0, step 1: overflow encountered in matmul"),
+    ])
+    def test_both_forms_diverge_at_the_same_step(self, monkeypatch, dtype, lr, epochs, batch_size, message):
+        # a step that overflows the training dtype, or a last step that
+        # leaves an fc1_w which does not fit it, fails in either form
+        params, captured = self._captured(n=16)
+        cfg = TrainConfig(epochs_stage2=epochs, batch_size=batch_size, lr_stage2=lr, seed=6, dtype=dtype)
+        for gram in (True, False):
+            monkeypatch.setattr(network, "_gram_pays", lambda *args: gram)
+            with pytest.raises(TrainingDivergedError, match=rf"^stage 2 diverged at {message}$"):
+                finetune_stage2(params, captured, cfg)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_coefficients_and_velocities_stay_float64(self, monkeypatch, dtype):
