@@ -9,6 +9,10 @@ files written. --out-dir, --threads and --log-every do not name the run.
 Rerunning an invocation reproduces its files byte for byte (timestamps
 appear only in log lines).
 
+Two seeds, one rule each: ``seed`` seeds the initial parameters and both
+training stages' batch permutations; ``noise.seed`` seeds every camera draw
+(the finetune capture, optical eval and simulate's dumps).
+
 Exit codes: 0 success, 1 usage error (including a flag or config value the
 library rejects, a config value that asks for more memory than the machine
 can allocate, and an --out-dir that is or lies under a file, which is
@@ -103,7 +107,8 @@ class PathsSection:
 @dataclass(frozen=True)
 class RunConfig:
     """Structured config document; every field has a paper-faithful default
-    where one exists. Unknown keys in a config file are rejected."""
+    where one exists. Unknown keys in a config file are rejected. ``seed``
+    drives initialization and training order, ``noise.seed`` the camera."""
 
     seed: int = 0
     optical: OpticalConfig = OpticalConfig()
@@ -317,9 +322,7 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
     bits, labels, _ = _load_split(args, cfg, "train", cfg.train.capture_n, params)
     tconf = _train_config(cfg)
     _log(f"capturing {len(bits)} optical-path outputs (sigma={cfg.noise.sigma})")
-    captured = network.capture_features(
-        params, bits, cfg.optical, cfg.noise, seed=cfg.seed, dtype=tconf.dtype, workers=args.threads
-    )
+    captured = network.capture_features(params, bits, cfg.optical, cfg.noise, dtype=tconf.dtype, workers=args.threads)
     params, trace = network.finetune_stage2(params, (captured, labels), tconf)
     run_dir = _run_dir(args, cfg)
     ckpt = network.save_checkpoint(params, run_dir / "stage2.ckpt", stage=2, seed=cfg.seed)
@@ -383,7 +386,16 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             "windows are cut in unbinned frame coordinates"
         )
     img = _load_sim_image(Path(args.image))
-    g = cfg.train.grid
+    if args.checkpoint:  # the checkpoint's bank sets the grid
+        params, _ = network.load_checkpoint(args.checkpoint)
+        if args.kernels > params.n_kernels:
+            raise UsageError(
+                f"--kernels {args.kernels} exceeds the checkpoint's bank of {params.n_kernels} kernels"
+            )
+        bank = network.binarized_kernels(params)[: args.kernels]
+    else:
+        bank = np.ones((args.kernels, cfg.train.grid, cfg.train.grid))
+    g = bank.shape[-1]
     if img.shape[0] > g or img.shape[1] > g:
         raise DataFormatError(f"image {img.shape} exceeds the {g}-px simulation grid")
     h, w = img.shape
@@ -394,21 +406,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     r0, c0 = (g - h) // 2, (g - w) // 2
     frame[r0 : r0 + h, c0 : c0 + w] = datapipe.binarize_gray(img, cfg.quantize.threshold_frac)
     plane = FieldPlane.from_bits(frame, cfg.optical.dmd_pitch)
-
-    if args.checkpoint:
-        params, _ = network.load_checkpoint(args.checkpoint)
-        if args.kernels > params.n_kernels:
-            raise UsageError(
-                f"--kernels {args.kernels} exceeds the checkpoint's bank of {params.n_kernels} kernels"
-            )
-        bank = network.binarized_kernels(params)[: args.kernels]
-    else:
-        bank = np.ones((args.kernels, g, g))
-    kernels = list(bank)
-    aperture = ideal_aperture(DEFAULT_ORDER_SEQUENCE[: len(kernels)])
-    outputs = multi_kernel_forward(plane, kernels, cfg.optical, aperture)
-    rng = np.random.default_rng(cfg.seed)
-    outputs = [camera_capture(o, cfg.noise, rng=rng) for o in outputs]
+    aperture = ideal_aperture(DEFAULT_ORDER_SEQUENCE[: len(bank)])
+    outputs = camera_capture(np.stack(multi_kernel_forward(plane, bank, cfg.optical, aperture)), cfg.noise)
 
     run_dir = _run_dir(args, cfg)
     # each grid as an 8-bit graymap to look at and as its exact float64 values
@@ -535,7 +534,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("simulate", help="single-frame end-to-end optical dump")
     s.add_argument("image", help="input image (.npy or P5 graymap), binarized like a dataset image")
     s.add_argument("--kernels", type=_int_at_least(1), default=1, help="parallel kernel count")
-    s.add_argument("--checkpoint", help="take kernels from a trained checkpoint")
+    s.add_argument("--checkpoint", help="take kernels, and the grid, from a trained checkpoint")
     s.add_argument("--windows", help="untile outputs as RxC windows, e.g. 7x7")
     s.set_defaults(fn=cmd_simulate)
 

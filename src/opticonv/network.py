@@ -227,7 +227,9 @@ def init_params(
         highpass_mask_enabled=highpass_mask_enabled,
         image_hw=image_hw,
     )
-    return _apply_mask_to_masters(params)
+    if highpass_mask_enabled:  # the masters start masked; the masked gradient keeps them so
+        _mask_centre(params.fourier_kernels)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +269,6 @@ def _shifted_bank(masters: np.ndarray, highpass: bool, dtype) -> np.ndarray:
         corner = np.arange(-HIGHPASS_HALF, HIGHPASS_HALF + 1) % g
         bank[:, corner[:, None], corner] = 0
     return bank
-
-
-def _apply_mask_to_masters(params: ModelParams) -> ModelParams:
-    # Reapplied after every optimizer step so masked bins stay binarized to 0.
-    # The masters must be a fresh array the caller owns: they are masked in place.
-    if params.highpass_mask_enabled:
-        _mask_centre(params.fourier_kernels)
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +489,7 @@ def _capture(
     ``rdtype`` intensity windows (len(part), K, h, w) of a run of at most
     ``group`` images of ``bits``; each run goes through the camera model in
     order, drawing from one noise stream (``rng``, or one seeded by
-    ``noise``), into one ``rdtype`` output gain-normalized per image. The
+    ``noise.seed``), into one ``rdtype`` output gain-normalized per image. The
     camera computes in float64 whatever ``rdtype``, so a float32 capture
     draws the float64 capture's normals."""
     if noise is not None and rng is None:
@@ -805,9 +799,10 @@ def _sgd(
     over ``n`` samples, in batches of a seeded permutation per
     epoch (``config.seed`` in stage 1, ``config.seed + 1`` in stage 2).
     ``loss_and_grads(params, sel)`` gives the loss, accuracy and gradients
-    of the samples ``sel``. Stage 1 re-masks the fresh masters after each
-    step; stage 2 never writes its frozen bank. Returns the parameters and
-    a per-epoch loss/accuracy trace.
+    of the samples ``sel``. The masked kernel gradient is zero at the
+    high-pass bins, so stage 1 leaves the masters that ``init_params``
+    masked at zero there; stage 2 never writes its frozen bank. Returns the
+    parameters and a per-epoch loss/accuracy trace.
 
     A step runs with numpy's overflow and invalid flags raising, which a
     healthy step never sets: a step that overflows, or leaves a non-finite
@@ -833,8 +828,6 @@ def _sgd(
                 raise TrainingDivergedError(
                     f"stage {stage} diverged at epoch {epoch}, step {step}: {exc}"
                 ) from None
-            if stage == 1:
-                params = _apply_mask_to_masters(params)
             losses.append(loss)
             accs.append(acc)
             if log_every and step % log_every == 0:
@@ -877,16 +870,15 @@ def capture_features(
     bits: np.ndarray,
     config: OpticalConfig,
     noise: NoiseSpec | None,
-    seed: int = 0,
     dtype: str = "float64",
     workers: int = 1,
 ) -> np.ndarray:
     """Hardware-surrogate capture: optical-mode conv outputs in ``dtype``
-    under noise, drawn from a generator seeded with ``seed``. The camera
+    under ``noise``, drawn from a generator seeded with ``noise.seed``, as
+    optical ``conv_fourier_forward`` draws without an ``rng``. The camera
     draws K*h*w float64 normals per image, on the feature windows alone, the
     same stream in either dtype."""
-    rng = np.random.default_rng(seed)
-    return _conv_optical(bits, params, config, noise, rng, dtype, workers)
+    return _conv_optical(bits, params, config, noise, None, dtype, workers)
 
 
 def finetune_stage2(

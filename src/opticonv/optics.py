@@ -137,7 +137,8 @@ class NoiseSpec:
     of relative scale ``sigma``, an additive dark floor, and a clamp at 0.
 
     ``sigma = 0`` and ``dark = 0`` make the capture the identity on the
-    binned grid. Noise draws are seeded and therefore reproducible.
+    binned grid. Every capture draws its noise from a generator seeded with
+    ``seed``, so it is reproducible.
     """
 
     sigma: float = 0.0

@@ -65,8 +65,7 @@ def full_mnist_pipeline(mnist):
         params1, (bits_te, mnist.test_labels), mode="digital", dtype="float32", workers=WORKERS
     )
     captures = network.capture_features(
-        params1, bits_tr[:6000], OpticalConfig(), NoiseSpec(sigma=0.1, seed=1),
-        seed=1, workers=WORKERS,
+        params1, bits_tr[:6000], OpticalConfig(), NoiseSpec(sigma=0.1, seed=1), workers=WORKERS
     )
     params2, _ = network.finetune_stage2(params1, (captures, mnist.train_labels[:6000]), cfg)
     res2 = network.evaluate(
@@ -267,13 +266,13 @@ def test_criterion_7_stage2_recovery(twin_models, mnist, record_criterion):
         params, (held_bits, held_labels), mode="digital", dtype="float64", workers=WORKERS
     ).accuracy
     noisy_held = network.capture_features(
-        params, held_bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=21), seed=21, workers=WORKERS
+        params, held_bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=21), workers=WORKERS
     )
     frozen = float(
         np.mean(network.head_forward(noisy_held, params).argmax(axis=1) == held_labels)
     )
     captures = network.capture_features(
-        params, train_bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=22), seed=22, workers=WORKERS
+        params, train_bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=22), workers=WORKERS
     )
     cfg = TrainConfig(epochs_stage2=8, batch_size=64, seed=7)
     tuned, _ = network.finetune_stage2(params, (captures, train_labels), cfg)

@@ -603,6 +603,20 @@ class TestTrainEvalPipeline:
         ck_b = next(b.glob("train-*")) / "stage1.ckpt"
         assert ck_a.read_bytes() == ck_b.read_bytes()
 
+    def test_finetune_capture_draws_from_the_noise_seed(self, small_config, tmp_path):
+        # noise.seed, not the top-level seed, seeds the stage-2 capture's camera
+        cfg = json.loads(small_config.read_text())
+        ckpt = stage1_checkpoint(cfg, tmp_path)
+        stage2 = []
+        for noise_seed in (1, 2):
+            cfg["noise"]["seed"] = noise_seed
+            path = tmp_path / f"noise{noise_seed}.json"
+            path.write_text(json.dumps(cfg))
+            out_dir = tmp_path / f"runs{noise_seed}"
+            assert run(["--config", path, "--out-dir", out_dir, "finetune", ckpt, "--dataset", "mnist"]) == 0
+            stage2.append((next(out_dir.glob("finetune-*")) / "stage2.ckpt").read_bytes())
+        assert stage2[0] != stage2[1]
+
     def test_thread_count_changes_no_training_byte(self, small_config, tmp_path):
         runs = []
         for threads in (1, 2):
@@ -726,6 +740,42 @@ class TestSimulateCommand:
         for k in range(2):
             assert read_npy(run_dir / f"kernel{k}.npy").tobytes() == want[k].tobytes()
         assert not (run_dir / "kernel2.npy").exists()
+
+    def test_noise_seed_alone_moves_the_dumps(self, small_config, tmp_path):
+        # --seed leaves the camera's draws alone; noise.seed moves them
+        img_path = tmp_path / "digit.npy"
+        np.save(img_path, np.random.default_rng(5).integers(0, 2, (28, 28)).astype(np.uint8))
+        cfg = json.loads(small_config.read_text())
+        cfg["noise"]["seed"] = 2
+        other_noise = tmp_path / "noise2.json"
+        other_noise.write_text(json.dumps(cfg))
+        dumps = {}
+        for name, config, seed in (("a", small_config, 0), ("b", small_config, 3), ("c", other_noise, 0)):
+            out_dir = tmp_path / name
+            assert run(["--config", config, "--seed", seed, "--out-dir", out_dir,
+                        "simulate", img_path, "--kernels", 2]) == 0
+            run_dir = next(out_dir.glob("simulate-*"))
+            dumps[name] = [(run_dir / f"kernel{k}.npy").read_bytes() for k in range(2)]
+        assert dumps["a"] == dumps["b"]
+        assert all(a != c for a, c in zip(dumps["a"], dumps["c"]))
+
+    def test_checkpoint_sets_the_grid(self, small_config, tmp_path):
+        # a grid-64 checkpoint under the default config (grid 256) simulates
+        # on its own grid, as under a config whose grid is 64
+        np.save(tmp_path / "digit.npy", np.random.default_rng(6).integers(0, 2, (28, 28)).astype(np.uint8))
+        cfg = json.loads(small_config.read_text())
+        ckpt = stage1_checkpoint(cfg, tmp_path)
+        grid64 = tmp_path / "grid64.json"
+        grid64.write_text(json.dumps({"train": {"grid": 64}}))
+        dumps = []
+        for name, config in (("default", []), ("grid64", ["--config", grid64])):
+            out_dir = tmp_path / name
+            assert run([*config, "--out-dir", out_dir, "simulate", tmp_path / "digit.npy",
+                        "--checkpoint", ckpt, "--kernels", 2]) == 0
+            run_dir = next(out_dir.glob("simulate-*"))
+            dumps.append([read_npy(run_dir / f"kernel{k}.npy") for k in range(2)])
+        assert all(d.shape == (64, 64) for d in dumps[0])
+        assert [d.tobytes() for d in dumps[0]] == [d.tobytes() for d in dumps[1]]
 
     def test_binning_at_zero_sigma(self, small_config, tmp_path):
         # sigma 0 still runs the camera model: bin_factor 2 halves the maps

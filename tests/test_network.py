@@ -691,6 +691,8 @@ class TestTrainStage1:
         b = binarized_kernels(params)
         c = params.grid // 2
         assert not b[:, c - 1 : c + 2, c - 1 : c + 2].any()
+        # the masked gradient alone keeps the masters' centre bins at zero
+        assert np.all(params.fourier_kernels[:, c - 1 : c + 2, c - 1 : c + 2] == 0)
 
 
 class TestStage2:
@@ -702,14 +704,14 @@ class TestStage2:
 
     def test_kernels_frozen(self):
         params, bits, labels, cfg = self._trained()
-        feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=3), seed=3)
+        feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.1, seed=3))
         before = params.fourier_kernels.tobytes()
         tuned, _ = finetune_stage2(params, (feats, labels), cfg)
         assert tuned.fourier_kernels.tobytes() == before
 
     def test_train_loss_decreases(self):
         params, bits, labels, cfg = self._trained()
-        feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.2, seed=4), seed=4)
+        feats = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=0.2, seed=4))
         _, trace = finetune_stage2(params, (feats, labels), cfg)
         assert trace[-1]["loss"] <= trace[0]["loss"]
 
@@ -735,8 +737,7 @@ class TestStage2:
     def _captured(self, n=45, dtype="float64"):
         # 45 captures in batches of 16 leave a batch of 13
         params, bits, labels, _ = self._trained()
-        feats = capture_features(params, bits[:n], OpticalConfig(), NoiseSpec(sigma=0.1, seed=5), seed=5,
-                                 dtype=dtype)
+        feats = capture_features(params, bits[:n], OpticalConfig(), NoiseSpec(sigma=0.1, seed=5), dtype=dtype)
         return params, (feats, labels[:n])
 
     @staticmethod
@@ -1196,12 +1197,21 @@ class TestOpticalCapture:
         params, bits = self.case(grid=64, n=27)
         sigma = 0.1
         clean = capture_features(params, bits, OpticalConfig(), None)
-        noisy = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=sigma), seed=7)
+        noisy = capture_features(params, bits, OpticalConfig(), NoiseSpec(sigma=sigma, seed=7))
         spread = []
         for c, n in zip(clean, noisy):
             r = n[c > 0.01] / c[c > 0.01]
             spread.append(r / r.mean() - 1.0)
         assert abs(np.std(np.concatenate(spread)) / sigma - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_capture_draws_from_the_noise_seed(self, seed, dtype):
+        # capture_features and optical conv_fourier_forward seed one rule
+        params, bits = self.case()
+        noise = NoiseSpec(sigma=0.1, seed=seed)
+        got = capture_features(params, bits, OpticalConfig(), noise, dtype=dtype)
+        assert_same_bits(got, conv_fourier_forward(bits, params, mode="optical", noise=noise, dtype=dtype))
 
     def test_single_image_equals_one_image_batch(self):
         # conv_fourier_forward promotes a 2-D image once, for both modes
@@ -1215,10 +1225,10 @@ class TestOpticalCapture:
 
     def test_chunks_give_the_bits_of_one_capture(self, monkeypatch):
         params, bits = self.case()
-        noise = NoiseSpec(sigma=0.1, dark=1e-4)
-        whole = capture_features(params, bits, OpticalConfig(), noise, seed=3)
+        noise = NoiseSpec(sigma=0.1, dark=1e-4, seed=3)
+        whole = capture_features(params, bits, OpticalConfig(), noise)
         monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 8 * 8 * 8)  # chunks of 2 + 2 + 1
-        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, seed=3), whole)
+        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise), whole)
 
 
 class TestOpticalPrecision:
@@ -1240,8 +1250,8 @@ class TestOpticalPrecision:
         # one seed, one noise stream: the dtypes differ by the engine's
         # rounding alone, far below the unit peak, and a head scores both alike
         params, bits = self.case(grid=64, n=27)
-        noise = NoiseSpec(sigma=0.1, dark=1e-4)
-        f32, f64 = (capture_features(params, bits, OpticalConfig(), noise, seed=7, dtype=dtype)
+        noise = NoiseSpec(sigma=0.1, dark=1e-4, seed=7)
+        f32, f64 = (capture_features(params, bits, OpticalConfig(), noise, dtype=dtype)
                     for dtype in ("float32", "float64"))
         assert f32.dtype == np.float32 and f64.dtype == np.float64
         assert np.max(np.abs(f32 - f64)) <= 1e-5
@@ -1253,13 +1263,13 @@ class TestOpticalPrecision:
         # the bits of one capture of the batch, and so do image groups of
         # two float32 windows; the same block holds one float64 image
         params, bits = self.case()
-        noise = NoiseSpec(sigma=0.1, dark=1e-4)
+        noise = NoiseSpec(sigma=0.1, dark=1e-4, seed=3)
         rng = np.random.default_rng(3)
         parts = np.concatenate([
             conv_fourier_forward(bits[s : s + 2], params, mode="optical", noise=noise, rng=rng, dtype="float32")
             for s in range(0, 5, 2)
         ])
-        whole = capture_features(params, bits, OpticalConfig(), noise, seed=3, dtype="float32")
+        whole = capture_features(params, bits, OpticalConfig(), noise, dtype="float32")
         assert_same_bits(parts, whole)
         groups, camera = [], network.camera_capture
 
@@ -1269,10 +1279,10 @@ class TestOpticalPrecision:
 
         monkeypatch.setattr(network, "camera_capture", counting_camera)
         monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 8 * 8 * 4)
-        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, seed=3, dtype="float32"), whole)
+        assert_same_bits(capture_features(params, bits, OpticalConfig(), noise, dtype="float32"), whole)
         assert groups == [2, 2, 1]
         groups.clear()
-        capture_features(params, bits, OpticalConfig(), noise, seed=3)
+        capture_features(params, bits, OpticalConfig(), noise)
         assert groups == [1] * 5
 
 
